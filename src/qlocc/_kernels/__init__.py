@@ -16,10 +16,6 @@ else:
         from qlocc._kernels import _fallback as _impl
 
 BACKEND = _impl.BACKEND_NAME
-IM_TOL = 1e-9
-NEG_TOL = 1e-9
-ZERO_FLOOR_FACTOR = 100.0
-CONC_NOISE = 1e-14
 
 eigvals4x4 = _impl.eigvals4x4
 concurrence4 = _impl.concurrence4

@@ -1,9 +1,11 @@
 """Pure-Python (numpy) implementation of the hot kernels.
 
 Selected at import time when the compiled core is unavailable or when
-``QLOCC_PURE_PYTHON`` is set. Must mirror ``_core`` exactly: 4x4 complex
-eigenvalues, concurrence of a normalized state, and the filtered-gain
-objective used by the no-go search.
+``QLOCC_PURE_PYTHON`` is set. Also the one route to the lambda spectrum for
+the whole package: with rho = X X+, the lambdas are the singular values of
+Wootters' tau = X^T (sy x sy) X (PRL 80, 2245 (1998)), since
+tau+ tau = X+ rho~ X has the eigenvalues of rho * rho~. The compiled core
+still takes the general eigenvalues of rho * rho~.
 """
 
 from __future__ import annotations
@@ -14,17 +16,13 @@ from qlocc.errors import ConvergenceFailure, SpectrumError
 
 BACKEND_NAME = "python"
 
-# Clamp policy for the spectrum of rho * rho~: the product of two PSD
-# matrices has a nonnegative real spectrum exactly; anything beyond these
-# bounds signals a bug rather than conditioning. Values below the
-# eigensolver's own resolution (ZERO_FLOOR_FACTOR * eps relative to the
-# largest eigenvalue) are indistinguishable from zero and are set to zero,
-# which keeps the square roots of exact zeros from turning into sqrt(eps)
-# noise.
-IM_TOL = 1e-9
+# Clamp policy. A state eigenvalue below -NEG_TOL signals a bug rather than
+# conditioning. State eigenvalues below the eigensolver's resolution
+# (ZERO_FLOOR_FACTOR * eps relative to the largest) are set to zero, which
+# keeps exact zeros from turning into sqrt(eps) noise in the root.
 NEG_TOL = 1e-9
 ZERO_FLOOR_FACTOR = 100.0
-# concurrence below this is eigensolver noise around zero; snapped to zero
+# concurrence below this is rounding noise around zero; snapped to zero
 # just as max(0, .) snaps the negative side
 CONC_NOISE = 1e-14
 _EPS = float(np.finfo(np.float64).eps)
@@ -34,8 +32,12 @@ _SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
 _SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
 _PAULI = np.stack([_SX, _SY, _SZ])
 _I2 = np.eye(2, dtype=np.complex128)
-# kron(sy, sy) is real: antidiagonal (-1, 1, 1, -1)
-_YY = np.kron(_SY, _SY).real
+# kron(sy, sy) is the real antidiagonal (-1, 1, 1, -1): applied to X it
+# reverses the rows and signs them
+_YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
+# l1 - l2 - l3 - l4 as a matrix product; the trailing axis it keeps lets
+# one in-place noise snap serve a single spectrum and a stack alike
+_CONC_SIGNS = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
 
 
 def eigvals4x4(m):
@@ -49,27 +51,34 @@ def eigvals4x4(m):
         raise ConvergenceFailure(str(exc)) from exc
 
 
-def _sqrt_spectrum(w):
-    """Descending square roots of clamped eigenvalues of rho * rho~."""
-    if w.size and float(np.abs(w.imag).max()) > IM_TOL:
-        raise SpectrumError(
-            f"eigenvalue imaginary part {np.abs(w.imag).max():.3e} exceeds {IM_TOL}"
-        )
-    re = w.real
-    if re.size and float(re.min()) < -NEG_TOL:
-        raise SpectrumError(f"eigenvalue real part {re.min():.3e} below -{NEG_TOL}")
-    floor = ZERO_FLOOR_FACTOR * _EPS * np.abs(re).max(axis=-1, keepdims=True)
-    lam = np.sqrt(np.where(re < floor, 0.0, re))
-    return np.sort(lam, axis=-1)[..., ::-1]
+def state_root(rho):
+    """X with rho = X X+, from the Hermitian eigendecomposition of rho."""
+    try:
+        w, v = np.linalg.eigh(rho)
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails at 4x4
+        raise ConvergenceFailure(str(exc)) from exc
+    if w[0] < -NEG_TOL:
+        raise SpectrumError(f"state eigenvalue {w[0]:.3e} below -{NEG_TOL}")
+    w[w < ZERO_FLOOR_FACTOR * _EPS * w[-1]] = 0.0
+    return v * np.sqrt(w)
+
+
+def lambdas(x):
+    """Descending lambda spectra of roots X (one 4x4 root or a stack)."""
+    tau = np.swapaxes(x, -1, -2) @ (_YY_SIGNS * x[..., ::-1, :])
+    return np.linalg.svd(tau, compute_uv=False)
+
+
+def concurrence_from_lambdas(lam):
+    """l1 - l2 - l3 - l4, with noise below CONC_NOISE set to 0, capped at 1."""
+    c = np.minimum(1.0, lam @ _CONC_SIGNS)
+    c[c < CONC_NOISE] = 0.0
+    return c[..., 0]
 
 
 def concurrence4(rho):
     """Concurrence of a normalized two-qubit density matrix (4x4 array)."""
-    rho = np.asarray(rho, dtype=np.complex128)
-    rt = _YY @ rho.conj() @ _YY
-    lam = _sqrt_spectrum(eigvals4x4(rho @ rt))
-    c = float(2.0 * lam[0] - lam.sum())
-    return c if c >= CONC_NOISE else 0.0
+    return float(concurrence_from_lambdas(lambdas(state_root(rho))))
 
 
 def _filter_mats(a, n):
@@ -89,21 +98,17 @@ def filter_gain_batch(rho, c_in, a, n, b, m, tol_prob=1e-14):
     gain does not depend on it. Entries whose branch probability falls at
     or below ``tol_prob`` get gain -inf (the branch filters out).
     """
-    rho = np.asarray(rho, dtype=np.complex128)
     fa = _filter_mats(a, n)
     fb = _filter_mats(b, m)
     K = np.einsum("nab,ncd->nacbd", fa, fb).reshape(-1, 4, 4)
-    # filters are Hermitian, so K rho K is the transformed (unnormalized) state
-    ru = K @ rho @ K
-    t = np.einsum("nii->n", ru).real
+    # filters are Hermitian, so K X is a root of the transformed state
+    kx = K @ state_root(rho)
+    t = (kx.real**2 + kx.imag**2).sum(axis=(1, 2))
     gains = np.full(t.shape, -np.inf)
     ok = t > tol_prob
     if ok.any():
-        rf = ru[ok] / t[ok, None, None]
-        rt = _YY @ rf.conj() @ _YY
-        lam = _sqrt_spectrum(np.linalg.eigvals(rf @ rt))
-        c = 2.0 * lam[:, 0] - lam.sum(axis=1)
-        gains[ok] = np.where(c >= CONC_NOISE, c, 0.0) - c_in
+        c = concurrence_from_lambdas(lambdas(kx[ok]) / t[ok, None])
+        gains[ok] = c - c_in
     return gains, t
 
 

@@ -2,7 +2,8 @@
 
 The spin flip sends rho to (sy x sy) conj(rho) (sy x sy), with conjugation
 taken in the basis where sz is diagonal. The descending square roots of the
-eigenvalues of rho * rho~ form the lambda spectrum; concurrence is
+eigenvalues of rho * rho~ form the lambda spectrum, computed by the numpy
+kernels' singular-value route whatever backend is active; concurrence is
 max(0, l1 - l2 - l3 - l4) and the entanglement of formation follows from it
 through the binary entropy. Ratios of the lambdas are unchanged by any
 invertible local filtering, which makes them single-copy invariants.
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qlocc import _kernels, linalg
-from qlocc.errors import SpectrumError
+from qlocc import linalg
+from qlocc._kernels import _fallback
 from qlocc.states import DensityMatrix
 
 _YY = linalg.kron(linalg.SY, linalg.SY)
@@ -54,36 +55,21 @@ def spin_flip(rho: DensityMatrix) -> DensityMatrix:
 def lambda_spectrum(rho: DensityMatrix) -> LambdaSpectrum:
     """Descending square roots of the eigenvalues of rho * rho~.
 
-    Eigenvalues are clamped per policy: imaginary parts within 1e-9 are
-    dropped, real parts in [-1e-9, 0) are set to zero, and values below
-    the eigensolver's resolution (relative to the largest eigenvalue) are
-    zero as well, so exact zeros do not pick up sqrt(eps) noise. Larger
-    violations raise :class:`~qlocc.errors.SpectrumError`.
+    Taken as the singular values of tau = X^T (sy x sy) X with rho = X X+.
+    State eigenvalues below the eigensolver's resolution are zero, so exact
+    zeros do not pick up sqrt(eps) noise; an eigenvalue below -1e-9 raises
+    :class:`~qlocc.errors.SpectrumError`.
     """
-    w = linalg.eig_general(rho.mat @ spin_flip(rho).mat)
-    reals = []
-    for z in w:
-        if abs(z.imag) > _kernels.IM_TOL:
-            raise SpectrumError(f"eigenvalue {z} has imaginary part beyond {_kernels.IM_TOL}")
-        if z.real < -_kernels.NEG_TOL:
-            raise SpectrumError(f"eigenvalue {z} has real part below -{_kernels.NEG_TOL}")
-        reals.append(z.real)
-    floor = _kernels.ZERO_FLOOR_FACTOR * np.finfo(float).eps * max(map(abs, reals))
-    lams = sorted((math.sqrt(re) if re >= floor else 0.0 for re in reals), reverse=True)
-    return LambdaSpectrum(tuple(lams))
+    return LambdaSpectrum(tuple(_fallback.lambdas(_fallback.state_root(rho.mat)).tolist()))
 
 
 def concurrence(rho: DensityMatrix) -> float:
     """max(0, l1 - l2 - l3 - l4) from the lambda spectrum; in [0, 1].
 
-    Values below the noise scale of the eigensolve are returned as exactly
-    zero, the positive-side counterpart of the max with zero.
+    Values below the rounding noise scale are returned as exactly zero,
+    the positive-side counterpart of the max with zero.
     """
-    l1, l2, l3, l4 = lambda_spectrum(rho).lambdas
-    c = l1 - l2 - l3 - l4
-    if c < _kernels.CONC_NOISE:
-        return 0.0
-    return min(1.0, c)
+    return _fallback.concurrence4(rho.mat)
 
 
 def binary_entropy(p: float) -> float:

@@ -22,8 +22,8 @@ class ConvergenceFailure(QloccError, ArithmeticError):
 
 
 class SpectrumError(QloccError, ArithmeticError):
-    """The product spectrum violates the clamp policy (imaginary part or
-    negative real part beyond 1e-9); signals a bug, not conditioning."""
+    """The state violates the clamp policy (an eigenvalue below -1e-9);
+    signals a bug, not conditioning."""
 
 
 class NotPhysical(QloccError, ValueError):

@@ -67,8 +67,8 @@ class SearchConfig:
         for name in ("restarts", "grid_density", "local_steps"):
             if int(getattr(self, name)) < 1:
                 raise DomainError(f"{name} must be a positive integer")
-        if self.tolerance <= 0.0:
-            raise DomainError("tolerance must be positive")
+        if not 0.0 < self.tolerance < math.inf:
+            raise DomainError("tolerance must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)

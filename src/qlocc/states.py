@@ -29,6 +29,10 @@ SINGLET_PROJ = np.outer(SINGLET_AMPS, SINGLET_AMPS.conj())
 
 TOL_STATE = 1e-10
 
+_SIGMA = np.stack((linalg.I2,) + linalg.PAULI)
+# sigma_i x sigma_j at index 4i + j, with sigma_0 = 1
+_PAULI_PRODUCTS = np.einsum("iab,jcd->ijacbd", _SIGMA, _SIGMA).reshape(16, 4, 4)
+
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
@@ -96,7 +100,7 @@ def make_bell_diagonal(p) -> DensityMatrix:
     p = np.asarray(p, dtype=float).reshape(-1)
     if p.shape != (4,):
         raise DomainError("expected exactly 4 probabilities")
-    if p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-12:
+    if not np.isfinite(p).all() or p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-12:
         raise DomainError(f"invalid probability vector {p.tolist()}")
     m = np.zeros((4, 4), dtype=np.complex128)
     for pi, amps in zip(p, BELL_AMPS):
@@ -106,16 +110,8 @@ def make_bell_diagonal(p) -> DensityMatrix:
 
 def to_pauli(rho: DensityMatrix) -> PauliRep:
     """Pauli-basis coefficients alpha_i = tr(rho sigma_i x 1), etc."""
-    m = rho.mat
-    alpha = np.array([np.trace(m @ linalg.kron(s, linalg.I2)).real for s in linalg.PAULI])
-    beta = np.array([np.trace(m @ linalg.kron(linalg.I2, s)).real for s in linalg.PAULI])
-    R = np.array(
-        [
-            [np.trace(m @ linalg.kron(si, sj)).real for sj in linalg.PAULI]
-            for si in linalg.PAULI
-        ]
-    )
-    return PauliRep(alpha, beta, R)
+    c = np.einsum("kij,ji->k", _PAULI_PRODUCTS, rho.mat).real.reshape(4, 4)
+    return PauliRep(c[1:, 0], c[0, 1:], c[1:, 1:])
 
 
 def from_pauli(rep: PauliRep) -> DensityMatrix:
@@ -124,15 +120,10 @@ def from_pauli(rep: PauliRep) -> DensityMatrix:
     Raises :class:`~qlocc.errors.NotAState` when the reconstruction has an
     eigenvalue below -1e-10 (no silent clamping).
     """
-    m = linalg.I4.copy()
-    for ai, s in zip(rep.alpha, linalg.PAULI):
-        m += ai * linalg.kron(s, linalg.I2)
-    for bj, s in zip(rep.beta, linalg.PAULI):
-        m += bj * linalg.kron(linalg.I2, s)
-    for i, si in enumerate(linalg.PAULI):
-        for j, sj in enumerate(linalg.PAULI):
-            m += rep.R[i, j] * linalg.kron(si, sj)
-    m /= 4.0
+    c = np.empty((4, 4))
+    c[0, 0] = 1.0
+    c[1:, 0], c[0, 1:], c[1:, 1:] = rep.alpha, rep.beta, rep.R
+    m = np.einsum("k,kij->ij", c.ravel(), _PAULI_PRODUCTS) / 4.0
     w, _ = linalg.eig_hermitian(m)
     if w.min() < -TOL_STATE:
         raise NotAState(f"reconstruction has eigenvalue {w.min():.3e}")

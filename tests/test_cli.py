@@ -51,14 +51,22 @@ def test_measure_state_file(tmp_path, capsys):
 
 
 def test_measure_out_of_domain_is_usage_error(capsys):
-    code, _, err = _run(capsys, ["measure", "--werner", "1.5"])
-    assert code == 1
-    assert "error" in err
+    for argv in (["measure", "--werner", "1.5"], ["measure", "--bell", "nan,0,0,1"]):
+        code, _, err = _run(capsys, argv)
+        assert code == 1
+        assert "error" in err
 
 
 def test_measure_bad_bell_string(capsys):
     code, _, _ = _run(capsys, ["measure", "--bell", "0.5,half"])
     assert code == 1
+
+
+def test_nogo_non_finite_tolerance_is_usage_error(capsys):
+    for tol in ("nan", "inf"):
+        code, _, err = _run(capsys, ["nogo", "--werner", "0.8", "--tolerance", tol])
+        assert code == 1
+        assert "tolerance" in err
 
 
 def test_measure_invalid_state_file(tmp_path, capsys):

@@ -98,6 +98,9 @@ def test_search_config_validation():
         SearchConfig(restarts=0)
     with pytest.raises(DomainError):
         SearchConfig(tolerance=0.0)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(DomainError):
+            SearchConfig(tolerance=bad)
 
 
 # --- scale factor bound ---

@@ -80,6 +80,9 @@ def test_bell_diagonal_domain():
         make_bell_diagonal([0.5, 0.5, 0.5, -0.5])
     with pytest.raises(DomainError):
         make_bell_diagonal([0.3, 0.3, 0.3, 0.3])
+    for bad in (np.nan, np.inf):
+        with pytest.raises(DomainError):
+            make_bell_diagonal([bad, 0.0, 0.0, 1.0])
 
 
 def test_pauli_rep_of_werner():
