@@ -7,8 +7,9 @@ grid as CSV), ``collective`` (two-copy recurrence trace as CSV).
 Exit codes: 0 success / certificate holds, 1 usage error, 2 numerical
 validation failure, 3 certificate violation (a bug sentinel, not physics).
 Every output embeds or accompanies a manifest (command, parameter echo,
-seed, version, timestamp); outputs are reproducible from the manifest
-modulo the timestamp.
+seed, version, kernel backend, numpy version, timestamp). Rerunning its
+command on the same backend and numpy version reproduces the output apart
+from the timestamp; certificate bits differ between backends.
 """
 
 from __future__ import annotations
@@ -18,6 +19,8 @@ import datetime
 import json
 import sys
 
+import numpy as np
+
 import qlocc
 from qlocc import nogo, protocols
 from qlocc.entanglement import (
@@ -26,13 +29,7 @@ from qlocc.entanglement import (
     invariant_ratios,
     lambda_spectrum,
 )
-from qlocc.errors import (
-    DomainError,
-    NotAState,
-    NotEntangled,
-    QloccError,
-    TargetNotReached,
-)
+from qlocc.errors import DomainError, QloccError
 from qlocc.states import (
     density_matrix_from_dict,
     fidelity,
@@ -64,6 +61,8 @@ def _manifest(command: str, params: dict, seed=None) -> dict:
         "parameters": params,
         "seed": seed,
         "version": qlocc.__version__,
+        "backend": qlocc.BACKEND,
+        "numpy": np.__version__,
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
 
@@ -222,24 +221,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
         return args.func(args)
-    except _UsageError as exc:
+    except (_UsageError, FileNotFoundError, json.JSONDecodeError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except TargetNotReached as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
-    except (NotAState, NotEntangled, QloccError) as exc:
+    except QloccError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from qlocc import _kernels
 from qlocc.entanglement import concurrence, entanglement_of_formation
@@ -89,18 +88,9 @@ class Certificate:
         return self.best_gain <= self.config.tolerance
 
 
-def _sigmoid(u: float) -> float:
-    return 1.0 / (1.0 + math.exp(-u))
-
-
-def _logit(a: float) -> float:
-    a = min(max(a, 1e-6), 1.0 - 1e-9)
-    return math.log(a / (1.0 - a))
-
-
-def _axis(theta: float, phi: float) -> np.ndarray:
-    st = math.sin(theta)
-    return np.array([st * math.cos(phi), st * math.sin(phi), math.cos(theta)])
+def _logit(a):
+    a = np.clip(a, 1e-6, 1.0 - 1e-9)
+    return np.log(a / (1.0 - a))
 
 
 def _grid_params(g: int):
@@ -136,6 +126,64 @@ def _random_params(rng: np.random.Generator, count: int):
 def _axes_from_angles(theta, phi):
     st = np.sin(theta)
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=1)
+
+
+def _nelder_mead(f, x0, maxfev):
+    """Minimize from each row of ``x0`` by Nelder-Mead (Comput. J. 7, 308
+    (1965)), all simplices in lockstep.
+
+    ``f`` maps a (k, d) array of points to k values. Each iteration makes
+    at most three calls: the reflections of the active simplices, one
+    expansion or contraction point per simplex that needs one, and the d
+    shrink points of each simplex that shrinks. Coefficients, initial
+    simplex and tolerances are scipy's non-adaptive ones. A simplex stops
+    once it converges or has used ``maxfev`` evaluations; its last
+    iteration can overrun that by at most d + 1. Returns the best vertices,
+    their values and the evaluations each simplex used.
+    """
+    k, d = x0.shape
+    sim = np.repeat(x0[:, None, :], d + 1, axis=1)
+    diag = np.arange(d)
+    start = sim[:, diag + 1, diag]
+    sim[:, diag + 1, diag] = np.where(start != 0.0, 1.05 * start, 0.00025)
+    fsim = f(sim.reshape(-1, d)).reshape(k, d + 1)
+    nfev = np.full(k, d + 1)
+    while True:
+        order = np.argsort(fsim, axis=1)
+        sim = np.take_along_axis(sim, order[:, :, None], axis=1)
+        fsim = np.take_along_axis(fsim, order, axis=1)
+        converged = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= 1e-9)
+                     & (np.abs(fsim[:, 1:] - fsim[:, :1]).max(axis=1) <= 1e-12))
+        act = np.flatnonzero(~converged & (nfev < maxfev))
+        if act.size == 0:
+            return sim[:, 0], fsim[:, 0], nfev
+        xbar = sim[act, :-1].sum(axis=1) / d
+        worst = sim[act, -1]
+        f_best, f_second, f_worst = fsim[act, 0], fsim[act, -2], fsim[act, -1]
+        xr = 2.0 * xbar - worst
+        fr = f(xr)
+        nfev[act] += 1
+        # the reflection stands between the best and second-worst values;
+        # otherwise expand past a new best or contract outside or inside
+        expand = fr < f_best
+        outside = (fr >= f_second) & (fr < f_worst)
+        redo = np.flatnonzero(expand | (fr >= f_second))
+        shrink = np.zeros(act.size, dtype=bool)
+        if redo.size:
+            e, o = expand[redo], outside[redo]
+            c = np.select([e, o], [2.0, 0.5], -0.5)[:, None]
+            xs = (1.0 + c) * xbar[redo] - c * worst[redo]
+            fs = f(xs)
+            nfev[act[redo]] += 1
+            better = np.select([e, o], [fs < fr[redo], fs <= fr[redo]], fs < f_worst[redo])
+            xr[redo[better]], fr[redo[better]] = xs[better], fs[better]
+            shrink[redo] = ~better & ~e
+        sim[act[~shrink], -1], fsim[act[~shrink], -1] = xr[~shrink], fr[~shrink]
+        sh = act[shrink]
+        if sh.size:
+            sim[sh, 1:] = sim[sh, :1] + 0.5 * (sim[sh, 1:] - sim[sh, :1])
+            fsim[sh, 1:] = f(sim[sh, 1:].reshape(-1, d)).reshape(-1, d)
+            nfev[sh] += d
 
 
 def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certificate:
@@ -178,40 +226,17 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     rand = _random_params(rng, cfg.restarts)
     rand_gains = _consume(*rand)
 
-    # refinement seeds: best candidates across both pools
+    # refinement seeds: best candidates across both pools, strengths stretched
     pool_gains = np.concatenate([grid_gains, rand_gains])
-    pool = [np.concatenate([g, r]) for g, r in zip(grid, rand)]
-    order = np.argsort(-pool_gains, kind="stable")[:_REFINE_TOP]
+    pool = np.concatenate([np.stack(grid, axis=1), np.stack(rand, axis=1)])
+    x0 = pool[np.argsort(-pool_gains, kind="stable")[:_REFINE_TOP]]
+    x0[:, [0, 3]] = _logit(x0[:, [0, 3]])
 
-    def neg_gain(x):
-        nonlocal evaluations
-        a = _sigmoid(x[0])
-        b = _sigmoid(x[3])
-        n = _axis(x[1], x[2])
-        m = _axis(x[4], x[5])
-        gain, t = _kernels.filter_gain_single(rho.mat, c_in, a, n, b, m)
-        evaluations += 1
-        if gain > best["gain"]:
-            best.update(gain=float(gain), a=float(a), n=n, b=float(b), m=m, t=float(t))
-        return -gain
+    def neg_gains(x):
+        a, b = (1.0 / (1.0 + np.exp(-x[:, [0, 3]]))).T
+        return -_consume(a, x[:, 1], x[:, 2], b, x[:, 4], x[:, 5])
 
-    for idx in order:
-        x0 = np.array(
-            [
-                _logit(float(pool[0][idx])),
-                float(pool[1][idx]),
-                float(pool[2][idx]),
-                _logit(float(pool[3][idx])),
-                float(pool[4][idx]),
-                float(pool[5][idx]),
-            ]
-        )
-        optimize.minimize(
-            neg_gain,
-            x0,
-            method="Nelder-Mead",
-            options={"maxfev": cfg.local_steps, "xatol": 1e-9, "fatol": 1e-12},
-        )
+    _nelder_mead(neg_gains, x0, cfg.local_steps)
 
     fa = LocalFilter(strength=best["a"], axis=best["n"], scale=1.0 / (1.0 + best["a"]))
     fb = LocalFilter(strength=best["b"], axis=best["m"], scale=1.0 / (1.0 + best["b"]))

@@ -1,5 +1,8 @@
 import json
 
+import numpy as np
+
+import qlocc
 from qlocc import cli
 from qlocc.states import density_matrix_to_dict, make_werner
 
@@ -93,6 +96,9 @@ def test_nogo_certificate(tmp_path, capsys):
     assert doc["certificate"]["best_gain"] <= 1e-7
     assert doc["certificate"]["holds"] is True
     assert doc["manifest"]["seed"] == 7
+    # certificate bits depend on the kernel backend and the numpy build
+    assert doc["manifest"]["backend"] == qlocc.BACKEND
+    assert doc["manifest"]["numpy"] == np.__version__
 
 
 def test_nogo_rerun_is_byte_identical(tmp_path, capsys):
@@ -154,6 +160,7 @@ def test_sweep_out_writes_manifest_sidecar(tmp_path, capsys):
     assert out_path.exists()
     sidecar = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
     assert sidecar["command"] == "sweep"
+    assert sidecar["backend"] == qlocc.BACKEND
 
 
 def test_collective_monotone_csv(capsys):

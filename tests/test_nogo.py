@@ -1,5 +1,8 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,7 +12,9 @@ from qlocc.entanglement import concurrence, entanglement_of_formation
 from qlocc.errors import DomainError, NotEntangled
 from qlocc.locc import LocalFilter, LocalOperation, apply_local_pair
 from qlocc.nogo import (
+    _REFINE_TOP,
     SearchConfig,
+    _nelder_mead,
     certificate_to_dict,
     maximize_concurrence_gain,
     probability_floor,
@@ -48,6 +53,55 @@ def test_certificate_reproducible_bitwise():
 def test_certificate_counts_evaluations():
     cert = maximize_concurrence_gain(make_werner(0.8), SMALL)
     assert cert.evaluations >= SMALL.grid_density**6 + SMALL.restarts
+    # each refinement may overrun its budget by one last shrink (d + 1 = 7)
+    assert cert.evaluations <= (SMALL.grid_density**6 + SMALL.restarts
+                                + _REFINE_TOP * (SMALL.local_steps + 7))
+
+
+HESS_6D = np.eye(6) + 0.3 * np.ones((6, 6))
+MIN_6D = np.array([0.3, -1.2, 0.0, 2.0, -0.5, 1.1])
+
+
+def _smooth_6d(x):
+    """Coupled quadratic plus quartic, one value per row; minimum 0 at MIN_6D."""
+    y = x - MIN_6D
+    return np.einsum("ki,ij,kj->k", y, HESS_6D, y) + (y**4).sum(axis=1)
+
+
+def test_nelder_mead_matches_scipy_reference():
+    from scipy.optimize import minimize
+
+    starts = np.random.default_rng(9).normal(scale=2.0, size=(5, 6))
+    starts[0, 2] = 0.0  # a zero coordinate takes the 0.00025 initial step
+    x, fx, nfev = _nelder_mead(_smooth_6d, starts, 5000)
+    for i, x0 in enumerate(starts):
+        ref = minimize(lambda z: _smooth_6d(z[None])[0], x0, method="Nelder-Mead",
+                       options={"maxfev": 5000, "xatol": 1e-9, "fatol": 1e-12})
+        assert ref.success
+        assert np.abs(x[i] - ref.x).max() <= 1e-6
+        assert np.abs(x[i] - MIN_6D).max() <= 1e-6
+        assert fx[i] == _smooth_6d(x[i][None])[0]
+        assert nfev[i] < 5000
+
+
+def test_nelder_mead_budget_per_simplex():
+    starts = np.random.default_rng(9).normal(scale=2.0, size=(5, 6))
+    for maxfev in (1, 7, 20, 50, 333):
+        calls = []
+        _, _, nfev = _nelder_mead(lambda x: calls.append(len(x)) or _smooth_6d(x),
+                                  starts, maxfev)
+        assert sum(calls) == nfev.sum()
+        assert np.all(nfev >= maxfev)  # none converges this early
+        assert np.all(nfev <= maxfev + 7)
+
+
+def test_import_loads_no_scipy():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = "import sys, qlocc; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_werner_certificates_hold():
