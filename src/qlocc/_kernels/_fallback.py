@@ -10,6 +10,8 @@ still takes the general eigenvalues of rho * rho~.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 
 from qlocc.errors import ConvergenceFailure, SpectrumError
@@ -38,6 +40,9 @@ _YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 # l1 - l2 - l3 - l4 as a matrix product; the trailing axis it keeps lets
 # one in-place noise snap serve a single spectrum and a stack alike
 _CONC_SIGNS = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
+# filter_gain_batch evaluates its points in chunks of this many, so the
+# temporaries of one chunk stay within a few MB
+CHUNK = 4096
 
 
 def eigvals4x4(m):
@@ -83,32 +88,75 @@ def concurrence4(rho):
 
 def _filter_mats(a, n):
     """Stack of 2x2 filters (1 + a n.sigma)/(1 + a) for strengths a, axes n."""
-    a = np.atleast_1d(np.asarray(a, dtype=float))
-    n = np.atleast_2d(np.asarray(n, dtype=float))
     nu = 1.0 / (1.0 + a)
     ns = np.einsum("nk,kij->nij", n, _PAULI)
     return nu[:, None, None] * (_I2[None, :, :] + a[:, None, None] * ns)
 
 
+def _usable_cpus():
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity
+        return os.cpu_count() or 1
+
+
 def filter_gain_batch(rho, c_in, a, n, b, m, tol_prob=1e-14):
     """Concurrence gain and success probability for a batch of filter pairs.
 
-    The scale of each filter is pinned to its maximum 1/(1+strength); it
-    cancels between the transformed state and its normalization, so the
-    gain does not depend on it. Entries whose branch probability falls at
-    or below ``tol_prob`` get gain -inf (the branch filters out).
+    ``a`` and ``b`` hold N strengths, ``n`` and ``m`` N axes as (N, 3)
+    arrays; mismatched leading dimensions or axis arrays of another shape
+    raise ``ValueError``. The scale of each filter is pinned to its maximum
+    1/(1+strength); it cancels between the transformed state and its
+    normalization, so the gain does not depend on it. Entries whose branch
+    probability falls at or below ``tol_prob`` get gain -inf (the branch
+    filters out).
+
+    The points are evaluated in chunks of ``CHUNK``. A batch of two or more
+    chunks is spread over a thread pool with one worker per usable CPU (at
+    most one per chunk); numpy's kernels release the GIL, so the chunks run
+    in parallel. Each point's result is the same whichever chunk or thread
+    evaluates it.
     """
-    fa = _filter_mats(a, n)
-    fb = _filter_mats(b, m)
-    K = np.einsum("nab,ncd->nacbd", fa, fb).reshape(-1, 4, 4)
-    # filters are Hermitian, so K X is a root of the transformed state
-    kx = K @ state_root(rho)
-    t = (kx.real**2 + kx.imag**2).sum(axis=(1, 2))
-    gains = np.full(t.shape, -np.inf)
-    ok = t > tol_prob
-    if ok.any():
-        c = concurrence_from_lambdas(lambdas(kx[ok]) / t[ok, None])
-        gains[ok] = c - c_in
+    a = np.atleast_1d(np.asarray(a, dtype=float))
+    b = np.atleast_1d(np.asarray(b, dtype=float))
+    n = np.atleast_2d(np.asarray(n, dtype=float))
+    m = np.atleast_2d(np.asarray(m, dtype=float))
+    if not a.shape == b.shape == (len(n),) == (len(m),):
+        raise ValueError("parameter arrays must share their leading dimension")
+    if n.shape[1:] != (3,) or m.shape[1:] != (3,):
+        raise ValueError("axis arrays must have shape (N, 3)")
+    x = state_root(rho)
+    gains = np.empty(len(a))
+    t = np.empty(len(a))
+
+    def run(lo):
+        s = slice(lo, lo + CHUNK)
+        fa = _filter_mats(a[s], n[s])
+        fb = _filter_mats(b[s], m[s])
+        K = np.einsum("nab,ncd->nacbd", fa, fb).reshape(-1, 4, 4)
+        # filters are Hermitian, so K X is a root of the transformed state
+        kx = K @ x
+        tc = t[s]
+        tc[:] = (kx.real**2 + kx.imag**2).sum(axis=(1, 2))
+        gc = gains[s]
+        gc[:] = -np.inf
+        ok = tc > tol_prob
+        if ok.any():
+            gc[ok] = concurrence_from_lambdas(lambdas(kx[ok]) / tc[ok, None]) - c_in
+
+    starts = range(0, len(a), CHUNK)
+    workers = min(_usable_cpus(), len(starts))
+    if workers < 2:
+        for lo in starts:
+            run(lo)
+    else:
+        # imported here, not at module level: it would add about 8 ms to
+        # every import qlocc, and a pool per call leaves nothing behind
+        from concurrent.futures import ThreadPoolExecutor
+
+        with ThreadPoolExecutor(workers) as pool:
+            list(pool.map(run, starts))
     return gains, t
 
 

@@ -1,11 +1,14 @@
 """Backend equivalence: the compiled core and the numpy fallback must agree."""
 
+import sys
+
 import numpy as np
 import pytest
 
 from qlocc import _kernels, states
 from qlocc._kernels import _fallback
 from qlocc.errors import SpectrumError
+from qlocc.nogo import SearchConfig, certificate_to_dict, maximize_concurrence_gain
 
 try:
     from qlocc._kernels import _core
@@ -65,22 +68,87 @@ def test_gain_cross_backend(rng):
         assert abs(t1 - t2) < 1e-12
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND_NAME)
-def test_batch_matches_single(impl, rng):
-    rho = states.random_density_matrix(rng).mat
-    c_in = impl.concurrence4(rho)
-    N = 64
+def _random_batch(rng, N):
     a = rng.random(N) * 0.98
     b = rng.random(N) * 0.98
     n = rng.standard_normal((N, 3))
     n /= np.linalg.norm(n, axis=1)[:, None]
     m = rng.standard_normal((N, 3))
     m /= np.linalg.norm(m, axis=1)[:, None]
+    return a, n, b, m
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND_NAME)
+def test_batch_matches_single(impl, rng):
+    rho = states.random_density_matrix(rng).mat
+    c_in = impl.concurrence4(rho)
+    a, n, b, m = _random_batch(rng, 64)
     gains, ts = impl.filter_gain_batch(rho, c_in, a, n, b, m)
-    for i in range(N):
+    for i in range(64):
         g, t = impl.filter_gain_single(rho, c_in, a[i], n[i], b[i], m[i])
         assert gains[i] == pytest.approx(g, abs=1e-13)
         assert ts[i] == pytest.approx(t, abs=1e-14)
+
+
+@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND_NAME)
+def test_batch_rejects_mismatched_shapes(impl, rng):
+    rho = states.random_density_matrix(rng).mat
+    a, n, b, m = _random_batch(rng, 3)
+    with pytest.raises(ValueError):
+        impl.filter_gain_batch(rho, 0.1, a, n[:1], b, m)
+    with pytest.raises(ValueError):
+        impl.filter_gain_batch(rho, 0.1, a[:2], n[:2], b[:1], m[:1])
+    with pytest.raises(ValueError):
+        impl.filter_gain_batch(rho, 0.1, a, n[:, :2], b, m)
+    with pytest.raises(ValueError):
+        impl.filter_gain_batch(rho, 0.1, a, n, b, np.ones((3, 4)))
+
+
+def test_threaded_batch_is_identical_to_chunks_and_one_worker(rng, monkeypatch):
+    # about 2.5 chunks, so three workers share the output arrays and the
+    # last chunk is partial; a short switch interval interleaves them often
+    rho = states.random_density_matrix(rng).mat
+    c_in = _fallback.concurrence4(rho)
+    a, n, b, m = _random_batch(rng, 10_000)
+    monkeypatch.setattr(_fallback, "_usable_cpus", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        gains, ts = _fallback.filter_gain_batch(rho, c_in, a, n, b, m)
+    finally:
+        sys.setswitchinterval(interval)
+    parts = [
+        _fallback.filter_gain_batch(rho, c_in, a[s], n[s], b[s], m[s])
+        for s in (slice(lo, lo + _fallback.CHUNK) for lo in range(0, len(a), _fallback.CHUNK))
+    ]
+    assert np.array_equal(gains, np.concatenate([g for g, _ in parts]))
+    assert np.array_equal(ts, np.concatenate([t for _, t in parts]))
+    monkeypatch.setattr(_fallback, "_usable_cpus", lambda: 1)
+    gains1, ts1 = _fallback.filter_gain_batch(rho, c_in, a, n, b, m)
+    assert np.array_equal(gains, gains1)
+    assert np.array_equal(ts, ts1)
+
+
+def test_threaded_batch_raises_worker_errors(rng, monkeypatch):
+    def fail(x):
+        raise FloatingPointError("chunk failed")
+
+    rho = states.random_density_matrix(rng).mat
+    monkeypatch.setattr(_fallback, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_fallback, "lambdas", fail)
+    with pytest.raises(FloatingPointError, match="chunk failed"):
+        _fallback.filter_gain_batch(rho, 0.1, *_random_batch(rng, 2 * _fallback.CHUNK))
+
+
+def test_threaded_certificate_is_identical_to_one_worker(monkeypatch):
+    # restarts beyond two chunks put the random stage on the pool
+    monkeypatch.setattr(_kernels, "filter_gain_batch", _fallback.filter_gain_batch)
+    cfg = SearchConfig(restarts=9000, grid_density=2, local_steps=60, seed=5)
+    rho = states.make_bell_diagonal([0.7, 0.1, 0.15, 0.05])
+    monkeypatch.setattr(_fallback, "_usable_cpus", lambda: 4)
+    threaded = certificate_to_dict(maximize_concurrence_gain(rho, cfg))
+    monkeypatch.setattr(_fallback, "_usable_cpus", lambda: 1)
+    assert threaded == certificate_to_dict(maximize_concurrence_gain(rho, cfg))
 
 
 @pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND_NAME)
