@@ -1,9 +1,8 @@
 """Benchmark the compiled kernels against the pure-Python fallback.
 
 Times the three hot operations on identical inputs: 4x4 eigenvalues, the
-filtered-gain objective one point at a time (the shape of a simplex
-refinement), and the batched objective (the shape of the grid and
-random-restart stages). Run as ``python benchmarks/bench_kernels.py``.
+filtered-gain objective one point at a time, and the batched objective
+(the shape of every search stage). Run as ``python benchmarks/bench_kernels.py``.
 
 The batched figure is per point over 100000 points. The fallback spreads
 a batch that large over a thread pool, one worker per usable CPU, so its

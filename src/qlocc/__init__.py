@@ -22,10 +22,12 @@ from qlocc.locc import (
     LocalFilter,
     LocalOperation,
     LoccOutcome,
+    NormalForm,
     apply_local_pair,
     closed_form_t,
     decompose_local_op,
     filter_matrix,
+    normal_form,
     predicted_concurrence,
 )
 from qlocc.nogo import (
@@ -60,6 +62,7 @@ __all__ = [
     "LocalFilter",
     "LocalOperation",
     "LoccOutcome",
+    "NormalForm",
     "PauliRep",
     "PureState",
     "RecurrenceTrace",
@@ -79,6 +82,7 @@ __all__ = [
     "make_bell_diagonal",
     "make_werner",
     "maximize_concurrence_gain",
+    "normal_form",
     "predicted_concurrence",
     "probability_floor",
     "procrustean_pure",

@@ -5,7 +5,9 @@ Subcommands: ``measure`` (entanglement quantities of a state), ``nogo``
 grid as CSV), ``collective`` (two-copy recurrence trace as CSV).
 
 Exit codes: 0 success / certificate holds, 1 usage error, 2 numerical
-validation failure, 3 certificate violation (a bug sentinel, not physics).
+validation failure (among them ``NotAttained``: a filtering normal form
+that no finite filter pair reaches), 3 certificate violation (a bug
+sentinel, not physics).
 Every output embeds or accompanies a manifest (command, parameter echo,
 seed, version, kernel backend, numpy version, timestamp). Rerunning its
 command on the same backend and numpy version reproduces the output apart
@@ -189,7 +191,7 @@ def build_parser() -> _Parser:
     p.add_argument("--restarts", type=int, default=64, help="random parameter draws")
     p.add_argument("--grid-density", type=int, default=4, help="grid points per parameter")
     p.add_argument("--local-steps", type=int, default=400,
-                   help="evaluation cap per simplex refinement")
+                   help="iteration cap per quasi-Newton refinement")
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
     p.add_argument("--tolerance", type=float, default=1e-7,
                    help="largest gain still counted as zero")

@@ -36,6 +36,13 @@ class FilteredOut(QloccError, ArithmeticError):
     particles are filtered out."""
 
 
+class NotAttained(QloccError, ArithmeticError):
+    """The filtering normal form is not reached: a marginal is singular, or
+    the marginals are still not proportional to 1 after the iteration
+    budget (the filters then grow without bound), so no finite filter pair
+    attains the optimum."""
+
+
 class NotEntangled(QloccError, ValueError):
     """An operation requiring entanglement received a separable input."""
 

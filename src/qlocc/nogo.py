@@ -2,11 +2,13 @@
 increase the entanglement of Werner or Bell-diagonal states.
 
 The search maximizes the concurrence gain over both parties' filter
-strengths and axes. Unitary factors are omitted: the filtering
-transformation law is manifestly unitary-independent, which the test suite
-checks separately. Filter scales are pinned to their maxima 1/(1+a) and
-1/(1+b); they cancel between the transformed state and its normalization,
-another identity the tests pin down.
+strengths and axes: a coarse grid and uniform random draws, then lockstep
+quasi-Newton refinements of the best candidates, each step of which sends
+its points through one batched kernel call. Unitary factors are omitted:
+the filtering transformation law is manifestly unitary-independent, which
+the test suite checks separately. Filter scales are pinned to their maxima
+1/(1+a) and 1/(1+b); they cancel between the transformed state and its
+normalization, another identity the tests pin down.
 
 Also here: the contrast operations that DO succeed on single copies of
 pure states (Procrustean filtering), the probability floor that forbids
@@ -17,7 +19,9 @@ randomizing outcomes never helps.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +48,12 @@ from qlocc.states import (
 
 _REFINE_TOP = 6
 _U_RANGE = 8.0  # random draws of the stretched strength coordinate
+# quasi-Newton refinement: central-difference step, trial step lengths
+# along each direction, and the rounding-level stop thresholds
+_H = 1e-7
+_ALPHAS = 0.25 ** np.arange(5)
+_IMPROVE_TOL = 1e-15
+_GRAD_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -52,8 +62,9 @@ class SearchConfig:
 
     ``restarts`` counts uniform random parameter draws; ``grid_density``
     sets the points per parameter of the coarse 6-dimensional grid;
-    ``local_steps`` caps the function evaluations of each simplex
-    refinement. All randomness flows from ``seed``.
+    ``local_steps`` caps the iterations per quasi-Newton refinement. The
+    three budgets must be positive integers (not bools). All randomness
+    flows from ``seed``.
     """
 
     restarts: int = 64
@@ -64,8 +75,9 @@ class SearchConfig:
 
     def __post_init__(self):
         for name in ("restarts", "grid_density", "local_steps"):
-            if int(getattr(self, name)) < 1:
-                raise DomainError(f"{name} must be a positive integer")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise DomainError(f"{name} must be a positive integer, got {value!r}")
         if not 0.0 < self.tolerance < math.inf:
             raise DomainError("tolerance must be positive and finite")
 
@@ -128,62 +140,100 @@ def _axes_from_angles(theta, phi):
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=1)
 
 
-def _nelder_mead(f, x0, maxfev):
-    """Minimize from each row of ``x0`` by Nelder-Mead (Comput. J. 7, 308
-    (1965)), all simplices in lockstep.
+def _sigmoid(x):
+    """1/(1 + exp(-x)) without overflow, for any real x."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
-    ``f`` maps a (k, d) array of points to k values. Each iteration makes
-    at most three calls: the reflections of the active simplices, one
-    expansion or contraction point per simplex that needs one, and the d
-    shrink points of each simplex that shrinks. Coefficients, initial
-    simplex and tolerances are scipy's non-adaptive ones. A simplex stops
-    once it converges or has used ``maxfev`` evaluations; its last
-    iteration can overrun that by at most d + 1. Returns the best vertices,
-    their values and the evaluations each simplex used.
+
+class _Refinement(NamedTuple):
+    """Per-start outcome of :func:`_quasi_newton`."""
+
+    x: np.ndarray  # (k, d) end points
+    value: np.ndarray  # (k,) objective at the end points
+    iterations: np.ndarray  # (k,)
+    converged: np.ndarray  # (k,) stopped at a stationary point, not at the cap
+    evaluations: np.ndarray  # (k,)
+
+
+def _quasi_newton(f, x0, max_iter):
+    """Minimize from each row of ``x0`` by inverse BFGS (Nocedal and Wright,
+    Numerical Optimization, Sec. 6.1), all starts in lockstep.
+
+    ``f`` maps a (k, d) array of points to k values. Gradients are central
+    differences with step ``_H``. The first call evaluates every start and
+    its 2d gradient points. Each iteration then makes at most two calls: the
+    ``_ALPHAS`` trial steps along every active start's direction -H g, and
+    the gradient points at each start's best improving trial. A start whose
+    trials all fail to improve it by more than ``_IMPROVE_TOL`` retries once
+    along -g with H reset to the identity; failing again, or reaching a
+    gradient with max|g| <= ``_GRAD_TOL``, it has converged. A start also
+    stops after ``max_iter`` iterations, or (unconverged) at a non-finite
+    gradient. So a start uses at most 1 + max_iter (2d + len(_ALPHAS))
+    evaluations.
     """
     k, d = x0.shape
-    sim = np.repeat(x0[:, None, :], d + 1, axis=1)
-    diag = np.arange(d)
-    start = sim[:, diag + 1, diag]
-    sim[:, diag + 1, diag] = np.where(start != 0.0, 1.05 * start, 0.00025)
-    fsim = f(sim.reshape(-1, d)).reshape(k, d + 1)
-    nfev = np.full(k, d + 1)
+    offsets = _H * np.concatenate([np.eye(d), -np.eye(d)])
+
+    def gradients(vals):
+        v = vals.reshape(-1, 2, d)
+        return (v[:, 0] - v[:, 1]) / (2.0 * _H)
+
+    first = f(np.concatenate([x0, (x0[:, None] + offsets).reshape(-1, d)]))
+    x, fx, g = x0.copy(), first[:k], gradients(first[k:])
+    hess_inv = np.repeat(np.eye(d)[None], k, axis=0)
+    fresh = np.ones(k, dtype=bool)  # hess_inv is the identity
+    iterations = np.zeros(k, dtype=int)
+    evaluations = np.full(k, 1 + 2 * d)
+    finite = np.isfinite(g).all(axis=1)
+    converged = finite & (np.abs(g).max(axis=1) <= _GRAD_TOL)
+    active = finite & ~converged
     while True:
-        order = np.argsort(fsim, axis=1)
-        sim = np.take_along_axis(sim, order[:, :, None], axis=1)
-        fsim = np.take_along_axis(fsim, order, axis=1)
-        converged = ((np.abs(sim[:, 1:] - sim[:, :1]).max(axis=(1, 2)) <= 1e-9)
-                     & (np.abs(fsim[:, 1:] - fsim[:, :1]).max(axis=1) <= 1e-12))
-        act = np.flatnonzero(~converged & (nfev < maxfev))
+        act = np.flatnonzero(active & (iterations < max_iter))
         if act.size == 0:
-            return sim[:, 0], fsim[:, 0], nfev
-        xbar = sim[act, :-1].sum(axis=1) / d
-        worst = sim[act, -1]
-        f_best, f_second, f_worst = fsim[act, 0], fsim[act, -2], fsim[act, -1]
-        xr = 2.0 * xbar - worst
-        fr = f(xr)
-        nfev[act] += 1
-        # the reflection stands between the best and second-worst values;
-        # otherwise expand past a new best or contract outside or inside
-        expand = fr < f_best
-        outside = (fr >= f_second) & (fr < f_worst)
-        redo = np.flatnonzero(expand | (fr >= f_second))
-        shrink = np.zeros(act.size, dtype=bool)
-        if redo.size:
-            e, o = expand[redo], outside[redo]
-            c = np.select([e, o], [2.0, 0.5], -0.5)[:, None]
-            xs = (1.0 + c) * xbar[redo] - c * worst[redo]
-            fs = f(xs)
-            nfev[act[redo]] += 1
-            better = np.select([e, o], [fs < fr[redo], fs <= fr[redo]], fs < f_worst[redo])
-            xr[redo[better]], fr[redo[better]] = xs[better], fs[better]
-            shrink[redo] = ~better & ~e
-        sim[act[~shrink], -1], fsim[act[~shrink], -1] = xr[~shrink], fr[~shrink]
-        sh = act[shrink]
-        if sh.size:
-            sim[sh, 1:] = sim[sh, :1] + 0.5 * (sim[sh, 1:] - sim[sh, :1])
-            fsim[sh, 1:] = f(sim[sh, 1:].reshape(-1, d)).reshape(-1, d)
-            nfev[sh] += d
+            return _Refinement(x, fx, iterations, converged, evaluations)
+        p = -np.einsum("kij,kj->ki", hess_inv[act], g[act])
+        trial = x[act, None] + _ALPHAS[:, None] * p[:, None]
+        ft = f(trial.reshape(-1, d)).reshape(act.size, -1)
+        iterations[act] += 1
+        evaluations[act] += len(_ALPHAS)
+        j = np.argmin(ft, axis=1)
+        f_new = ft[np.arange(act.size), j]
+        ok = f_new < fx[act] - _IMPROVE_TOL
+        failed = act[~ok]
+        done = failed[fresh[failed]]
+        active[done], converged[done] = False, True
+        retry = failed[~fresh[failed]]
+        hess_inv[retry], fresh[retry] = np.eye(d), True
+        moved = act[ok]
+        s = trial[ok, j[ok]] - x[moved]
+        x[moved], fx[moved] = trial[ok, j[ok]], f_new[ok]
+        # a start at its iteration cap ends here and needs no gradient
+        keep = iterations[moved] < max_iter
+        moved, s = moved[keep], s[keep]
+        if moved.size == 0:
+            continue
+        g_new = gradients(f((x[moved, None] + offsets).reshape(-1, d)))
+        evaluations[moved] += 2 * d
+        y = g_new - g[moved]
+        g[moved] = g_new
+        finite = np.isfinite(g_new).all(axis=1)
+        flat = finite & (np.abs(g_new).max(axis=1) <= _GRAD_TOL)
+        active[moved[~finite | flat]] = False
+        converged[moved[flat]] = True
+        # update where the curvature condition holds; a fresh identity is
+        # first scaled to s.y / y.y
+        sy = np.einsum("ki,ki->k", s, y)
+        upd = finite & (sy > 1e-12 * np.linalg.norm(s, axis=1) * np.linalg.norm(y, axis=1))
+        moved, s, y, sy = moved[upd], s[upd], y[upd], sy[upd]
+        h = hess_inv[moved]
+        scale = np.where(fresh[moved], sy / np.einsum("ki,ki->k", y, y), 1.0)
+        h *= scale[:, None, None]
+        rho = 1.0 / sy
+        v = np.eye(d) - rho[:, None, None] * s[:, :, None] * y[:, None, :]
+        hess_inv[moved] = (v @ h @ np.swapaxes(v, 1, 2)
+                           + rho[:, None, None] * s[:, :, None] * s[:, None, :])
+        fresh[moved] = False
 
 
 def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certificate:
@@ -191,11 +241,12 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
 
     Three stages share one budget, all counted in ``evaluations``: a coarse
     grid (``grid_density`` points per parameter), ``restarts`` uniform
-    random draws, and Nelder-Mead refinements of the best candidates in
-    stretched coordinates that resolve the strength boundaries. The
-    objective is the directly computed concurrence of the filtered state
-    minus the input concurrence; no transformation-law shortcut is used,
-    so the certificate is independent of the law it corroborates.
+    random draws, and quasi-Newton refinements of the best candidates, at
+    most ``local_steps`` iterations each, in stretched coordinates that
+    resolve the strength boundaries. The objective is the directly
+    computed concurrence of the filtered state minus the input
+    concurrence; no transformation-law shortcut is used, so the
+    certificate is independent of the law it corroborates.
 
     Deterministic: identical config (including seed) yields an identical
     certificate. Raises :class:`~qlocc.errors.NotEntangled` when the input
@@ -233,10 +284,10 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     x0[:, [0, 3]] = _logit(x0[:, [0, 3]])
 
     def neg_gains(x):
-        a, b = (1.0 / (1.0 + np.exp(-x[:, [0, 3]]))).T
+        a, b = _sigmoid(x[:, [0, 3]]).T
         return -_consume(a, x[:, 1], x[:, 2], b, x[:, 4], x[:, 5])
 
-    _nelder_mead(neg_gains, x0, cfg.local_steps)
+    _quasi_newton(neg_gains, x0, cfg.local_steps)
 
     fa = LocalFilter(strength=best["a"], axis=best["n"], scale=1.0 / (1.0 + best["a"]))
     fb = LocalFilter(strength=best["b"], axis=best["m"], scale=1.0 / (1.0 + best["b"]))

@@ -38,7 +38,7 @@ from qlocc.states import make_werner, to_pauli
 Z = np.array([0.0, 0.0, 1.0])
 
 # >= 1e5 evaluations per Werner point: 4^6 grid + restarts alone clear the
-# bar even when the simplex refinements converge early
+# bar even when the quasi-Newton refinements converge early
 WERNER_CONFIG = dict(restarts=96000, grid_density=4, local_steps=500)
 WERNER_FS = (0.55, 0.65, 0.75, 0.85, 0.95)
 # ~2e4 evaluations per Bell-diagonal state, 100 states

@@ -3,7 +3,8 @@ import json
 import numpy as np
 
 import qlocc
-from qlocc import cli
+from qlocc import cli, nogo
+from qlocc.errors import NotAttained
 from qlocc.states import density_matrix_to_dict, make_werner
 
 MEASURE_REPORT_KEYS = {
@@ -115,6 +116,16 @@ def test_nogo_unentangled_input(capsys):
     code, _, err = _run(capsys, ["nogo", "--werner", "0.4"])
     assert code == 2
     assert "concurrence" in err
+
+
+def test_normal_form_not_attained_is_validation_error(capsys, monkeypatch):
+    def not_attained(rho, cfg):
+        raise NotAttained("marginal residual 2.499e-04 after 2000 iterations")
+
+    monkeypatch.setattr(nogo, "maximize_concurrence_gain", not_attained)
+    code, _, err = _run(capsys, ["nogo", "--werner", "0.8"])
+    assert code == 2
+    assert "residual" in err
 
 
 def test_sweep_default_grid(capsys):

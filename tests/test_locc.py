@@ -1,9 +1,13 @@
+import math
+import os
+import sys
+
 import numpy as np
 import pytest
 
 from qlocc import linalg, states
-from qlocc.entanglement import concurrence, lambda_spectrum
-from qlocc.errors import DomainError, FilteredOut, NotPhysical
+from qlocc.entanglement import concurrence, invariant_ratios, lambda_spectrum
+from qlocc.errors import DomainError, FilteredOut, NotAttained, NotPhysical
 from qlocc.locc import (
     LocalFilter,
     LocalOperation,
@@ -12,14 +16,20 @@ from qlocc.locc import (
     compose_local_ops,
     decompose_local_op,
     filter_matrix,
+    normal_form,
     predicted_concurrence,
     random_filter,
     random_unitary,
     trivial_operation,
 )
-from qlocc.states import density_from_pure, make_werner, to_pauli
+from qlocc.states import DensityMatrix, density_from_pure, make_werner, to_pauli
 
 from conftest import random_op
+
+# the benchmark's independent references (they never import qlocc)
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "perfbench"))
+import reference  # noqa: E402
 
 Z = np.array([0.0, 0.0, 1.0])
 X = np.array([1.0, 0.0, 0.0])
@@ -304,3 +314,64 @@ def test_werner_scale_factor_never_above_one(rng):
                 / t
             )
             assert scale <= 1.0 + 1e-12
+
+
+# --- filtering normal form ---
+
+def test_normal_form_of_werner_and_bell_diagonal_is_the_input(rng):
+    inputs = [make_werner(f) for f in (0.55, 0.75, 0.95)]
+    inputs += [states.random_entangled_bell_diagonal(rng) for _ in range(5)]
+    for rho in inputs:
+        nf = normal_form(rho)
+        assert nf.iterations == 0
+        assert nf.trace == 1.0
+        assert nf.optimum - concurrence(rho) == 0.0
+        np.testing.assert_array_equal(nf.filter_a, linalg.I2)
+        np.testing.assert_array_equal(nf.filter_b, linalg.I2)
+
+
+def test_normal_form_of_entangled_pure_state_is_maximally_entangled():
+    # one balancing filter equalizes the Schmidt coefficients (Procrustean)
+    psi = states.PureState(np.array([math.sqrt(0.9), 0.0, 0.0, math.sqrt(0.1)], dtype=complex))
+    nf = normal_form(density_from_pure(psi))
+    assert nf.iterations == 1
+    assert abs(nf.optimum - 1.0) < 1e-12
+    assert abs(nf.trace - 0.6) < 1e-12  # 2 sqrt(0.9 * 0.1)
+
+
+def test_normal_form_not_attained():
+    product = DensityMatrix(np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex))
+    # rank 2: the singlet mixed with |uu>; filters toward |dd> push the
+    # concurrence toward 1 without reaching it
+    mixed = 0.6 * states.SINGLET_PROJ + 0.4 * np.diag([1.0, 0.0, 0.0, 0.0])
+    for rho in (product, DensityMatrix(mixed)):
+        with pytest.raises(NotAttained):
+            normal_form(rho)
+
+
+def test_normal_form_balances_marginals_and_keeps_invariants(rng):
+    for _ in range(40):
+        rho = states.random_density_matrix(rng)
+        nf = normal_form(rho)
+        assert nf.residual <= 1e-14
+        for f in (nf.filter_a, nf.filter_b):
+            assert abs(np.linalg.det(f) - 1.0) < 1e-12
+        k = linalg.kron(nf.filter_a, nf.filter_b)
+        raw = k @ rho.mat @ linalg.dagger(k)
+        assert abs(np.trace(raw).real - nf.trace) < 1e-12
+        np.testing.assert_allclose(nf.state.mat, raw / nf.trace, atol=1e-12)
+        assert abs(concurrence(nf.state) - nf.optimum) < 1e-12
+        np.testing.assert_allclose(invariant_ratios(nf.state).ratios,
+                                   invariant_ratios(rho).ratios, rtol=0, atol=1e-12)
+        # no random filter pair beats the optimum
+        for _ in range(5):
+            out = apply_local_pair(rho, random_op(rng), random_op(rng))
+            assert concurrence(out.state) <= nf.optimum + 1e-12
+
+
+def test_normal_form_matches_reference(rng):
+    for _ in range(40):
+        rho = states.random_density_matrix(rng)
+        c = concurrence(rho)
+        opt, err = reference.normal_form_optimum(rho.mat, c)
+        assert abs(normal_form(rho).optimum - opt) <= err

@@ -7,14 +7,15 @@ import sys
 import numpy as np
 import pytest
 
-from qlocc import linalg, states
+from qlocc import linalg, nogo, states
 from qlocc.entanglement import concurrence, entanglement_of_formation
 from qlocc.errors import DomainError, NotEntangled
-from qlocc.locc import LocalFilter, LocalOperation, apply_local_pair
+from qlocc.locc import LocalFilter, LocalOperation, apply_local_pair, normal_form
 from qlocc.nogo import (
+    _ALPHAS,
     _REFINE_TOP,
     SearchConfig,
-    _nelder_mead,
+    _quasi_newton,
     certificate_to_dict,
     maximize_concurrence_gain,
     probability_floor,
@@ -35,6 +36,7 @@ from qlocc.states import (
 )
 
 from conftest import random_op
+from test_acceptance import BELL_CONFIG
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -53,13 +55,15 @@ def test_certificate_reproducible_bitwise():
 def test_certificate_counts_evaluations():
     cert = maximize_concurrence_gain(make_werner(0.8), SMALL)
     assert cert.evaluations >= SMALL.grid_density**6 + SMALL.restarts
-    # each refinement may overrun its budget by one last shrink (d + 1 = 7)
+    # each refinement: its start, then per iteration the trial steps and
+    # the 12 central-difference gradient points
     assert cert.evaluations <= (SMALL.grid_density**6 + SMALL.restarts
-                                + _REFINE_TOP * (SMALL.local_steps + 7))
+                                + _REFINE_TOP * (1 + SMALL.local_steps * (12 + len(_ALPHAS))))
 
 
 HESS_6D = np.eye(6) + 0.3 * np.ones((6, 6))
 MIN_6D = np.array([0.3, -1.2, 0.0, 2.0, -0.5, 1.1])
+STARTS_6D = np.random.default_rng(9).normal(scale=2.0, size=(5, 6))
 
 
 def _smooth_6d(x):
@@ -68,31 +72,48 @@ def _smooth_6d(x):
     return np.einsum("ki,ij,kj->k", y, HESS_6D, y) + (y**4).sum(axis=1)
 
 
-def test_nelder_mead_matches_scipy_reference():
+def test_quasi_newton_reaches_minimum_like_scipy_bfgs():
     from scipy.optimize import minimize
 
-    starts = np.random.default_rng(9).normal(scale=2.0, size=(5, 6))
-    starts[0, 2] = 0.0  # a zero coordinate takes the 0.00025 initial step
-    x, fx, nfev = _nelder_mead(_smooth_6d, starts, 5000)
-    for i, x0 in enumerate(starts):
-        ref = minimize(lambda z: _smooth_6d(z[None])[0], x0, method="Nelder-Mead",
-                       options={"maxfev": 5000, "xatol": 1e-9, "fatol": 1e-12})
-        assert ref.success
-        assert np.abs(x[i] - ref.x).max() <= 1e-6
-        assert np.abs(x[i] - MIN_6D).max() <= 1e-6
-        assert fx[i] == _smooth_6d(x[i][None])[0]
-        assert nfev[i] < 5000
+    res = _quasi_newton(_smooth_6d, STARTS_6D, 200)
+    assert res.converged.all()
+    assert np.all(res.iterations < 200)
+    for i, x0 in enumerate(STARTS_6D):
+        ref = minimize(lambda z: _smooth_6d(z[None])[0], x0, method="BFGS",
+                       options={"gtol": 1e-10})
+        assert np.abs(ref.x - MIN_6D).max() <= 1e-6
+        assert np.abs(res.x[i] - MIN_6D).max() <= 1e-6
+        assert res.value[i] == _smooth_6d(res.x[i][None])[0]
 
 
-def test_nelder_mead_budget_per_simplex():
-    starts = np.random.default_rng(9).normal(scale=2.0, size=(5, 6))
-    for maxfev in (1, 7, 20, 50, 333):
+def test_quasi_newton_iteration_cap_per_start():
+    per_iteration = 12 + len(_ALPHAS)
+    for cap in (1, 2, 5, 9):
         calls = []
-        _, _, nfev = _nelder_mead(lambda x: calls.append(len(x)) or _smooth_6d(x),
-                                  starts, maxfev)
-        assert sum(calls) == nfev.sum()
-        assert np.all(nfev >= maxfev)  # none converges this early
-        assert np.all(nfev <= maxfev + 7)
+        res = _quasi_newton(lambda x: calls.append(len(x)) or _smooth_6d(x), STARTS_6D, cap)
+        assert sum(calls) == res.evaluations.sum()
+        assert np.all(res.iterations == cap)  # none converges this early
+        assert not res.converged.any()
+        assert np.all(res.evaluations <= 1 + cap * per_iteration)
+        # batches stay small enough for the kernel's inline path
+        assert max(calls) <= len(STARTS_6D) * 13
+
+
+def test_bell_diagonal_refinements_converge(rng, monkeypatch):
+    results = []
+
+    def recording(f, x0, max_iter):
+        results.append(_quasi_newton(f, x0, max_iter))
+        return results[-1]
+
+    monkeypatch.setattr(nogo, "_quasi_newton", recording)
+    for _ in range(3):
+        maximize_concurrence_gain(states.random_entangled_bell_diagonal(rng), SMALL)
+    maximize_concurrence_gain(make_werner(0.7), SMALL)
+    assert len(results) == 4
+    for res in results:
+        assert res.converged.all()
+        assert np.all(res.iterations < SMALL.local_steps)
 
 
 def test_import_loads_no_scipy():
@@ -146,6 +167,32 @@ def test_search_finds_gain_when_one_exists():
     assert abs(out.probability - cert.probability) < 1e-12
 
 
+def _power_states(seed, count):
+    """Full-rank Hilbert-Schmidt states that are clearly entangled and that
+    filtering can improve by at least 1e-3, with that optimum gain."""
+    rng = np.random.default_rng(seed)
+    out = []
+    while len(out) < count:
+        rho = states.random_density_matrix(rng)
+        c = concurrence(rho)
+        if c < 0.05:
+            continue
+        nf = normal_form(rho)
+        if nf.optimum - c >= 1e-3:
+            out.append((rho, nf.optimum - c))
+    return out
+
+
+def test_search_reaches_normal_form_optimum():
+    cfg = SearchConfig(seed=5, **BELL_CONFIG)
+    gaps = []
+    for seed in (7, 2026):
+        for rho, opt_gain in _power_states(seed, 16):
+            gaps.append(opt_gain - maximize_concurrence_gain(rho, cfg).best_gain)
+    assert len(gaps) == 32
+    assert max(np.abs(gaps)) <= 1e-9, gaps
+
+
 def test_search_rejects_unentangled_input():
     with pytest.raises(NotEntangled):
         maximize_concurrence_gain(make_werner(0.4), SMALL)
@@ -154,6 +201,11 @@ def test_search_rejects_unentangled_input():
 def test_search_config_validation():
     with pytest.raises(DomainError):
         SearchConfig(restarts=0)
+    for bad in (dict(grid_density=2.5), dict(restarts=100.7), dict(local_steps=True),
+                dict(restarts=3.0), dict(grid_density="3"), dict(local_steps=np.float64(9))):
+        with pytest.raises(DomainError):
+            SearchConfig(**bad)
+    assert SearchConfig(restarts=np.int64(5)).restarts == 5
     with pytest.raises(DomainError):
         SearchConfig(tolerance=0.0)
     for bad in (math.nan, math.inf):
