@@ -6,6 +6,13 @@ the whole package: with rho = X X+, the lambdas are the singular values of
 Wootters' tau = X^T (sy x sy) X (PRL 80, 2245 (1998)), since
 tau+ tau = X+ rho~ X has the eigenvalues of rho * rho~. The compiled core
 still takes the general eigenvalues of rho * rho~.
+
+Two solvers take those singular values, behind one root (``state_root``),
+one tau and one clamp policy (``concurrence_from_lambdas``). A single state
+goes through LAPACK's ``svd`` (``lambdas``). The batched gain kernel holds
+its points batch-last, as (4, 4, N) stacks, and solves them all at once by
+one-sided Jacobi (``tau_singular_values``); the two agree within a few
+eps * tr(rho).
 """
 
 from __future__ import annotations
@@ -29,11 +36,6 @@ ZERO_FLOOR_FACTOR = 100.0
 CONC_NOISE = 1e-14
 _EPS = float(np.finfo(np.float64).eps)
 
-_SX = np.array([[0, 1], [1, 0]], dtype=np.complex128)
-_SY = np.array([[0, -1j], [1j, 0]], dtype=np.complex128)
-_SZ = np.array([[1, 0], [0, -1]], dtype=np.complex128)
-_PAULI = np.stack([_SX, _SY, _SZ])
-_I2 = np.eye(2, dtype=np.complex128)
 # kron(sy, sy) is the real antidiagonal (-1, 1, 1, -1): applied to X it
 # reverses the rows and signs them
 _YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
@@ -43,6 +45,19 @@ _CONC_SIGNS = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
 # filter_gain_batch evaluates its points in chunks of this many, so the
 # temporaries of one chunk stay within a few MB
 CHUNK = 4096
+# One-sided Jacobi: a column pair is rotated while |<p, q>| exceeds
+# JACOBI_TOL * |p| |q| (four rows, so about the rounding of the inner
+# product); a stack that still rotates after JACOBI_MAX_SWEEPS sweeps raises
+# ConvergenceFailure. 4x4 stacks settle in four or five sweeps.
+JACOBI_TOL = 4.0 * _EPS
+JACOBI_MAX_SWEEPS = 30
+# a sweep is three rounds of two disjoint column pairs, (0,1)(2,3),
+# (0,2)(1,3) and (0,3)(1,2), given as (p columns, q columns) slices
+_JACOBI_ROUNDS = (
+    (slice(0, 4, 2), slice(1, 4, 2)),
+    (slice(0, 2), slice(2, 4)),
+    (slice(0, 2), slice(3, 1, -1)),
+)
 
 
 def eigvals4x4(m):
@@ -69,7 +84,12 @@ def state_root(rho):
 
 
 def lambdas(x):
-    """Descending lambda spectra of roots X (one 4x4 root or a stack)."""
+    """Descending lambda spectrum of a root X, by LAPACK ``svd`` of tau.
+
+    Serves single states; a (..., 4, 4) stack of roots works too, but the
+    batched kernel solves its stacks with :func:`tau_singular_values`, which
+    is faster per point but costs a few hundred numpy calls per solve.
+    """
     tau = np.swapaxes(x, -1, -2) @ (_YY_SIGNS * x[..., ::-1, :])
     return np.linalg.svd(tau, compute_uv=False)
 
@@ -86,11 +106,90 @@ def concurrence4(rho):
     return float(concurrence_from_lambdas(lambdas(state_root(rho))))
 
 
-def _filter_mats(a, n):
-    """Stack of 2x2 filters (1 + a n.sigma)/(1 + a) for strengths a, axes n."""
-    nu = 1.0 / (1.0 + a)
-    ns = np.einsum("nk,kij->nij", n, _PAULI)
-    return nu[:, None, None] * (_I2[None, :, :] + a[:, None, None] * ns)
+def tau_singular_values(tau):
+    """Descending singular values of a (4, 4, N) stack of matrices, as (N, 4).
+
+    One-sided (Hestenes) Jacobi, vectorized over the stack (Demmel and
+    Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)): plane rotations
+    from the right orthogonalize the columns, whose norms are then the
+    singular values, each within a few eps of the largest. The rotations
+    overwrite ``tau``. Squared column norms are taken afresh at the start of
+    each sweep and updated incrementally within it. A point whose pair is
+    already orthogonal gets the exact identity (cosine 1, sine 0), so no
+    result depends on the other points of the stack. The solve stops after
+    a sweep without rotation and raises ``ConvergenceFailure`` after
+    ``JACOBI_MAX_SWEEPS`` sweeps.
+    """
+    for _ in range(JACOBI_MAX_SWEEPS):
+        norms = (tau.real**2 + tau.imag**2).sum(axis=0)
+        rotated = False
+        for pc, qc in _JACOBI_ROUNDS:
+            p, q = tau[:, pc], tau[:, qc]
+            al, be = norms[pc], norms[qc]
+            g = (p.conj() * q).sum(axis=0)
+            ga = np.abs(g)
+            rot = ga > JACOBI_TOL * np.sqrt(al * be)
+            if not rot.any():
+                continue
+            rotated = True
+            # the rotation with cosine c and sine c t e, e = g/|g|, zeroes
+            # <p, q>; rot as the numerator makes t exactly 0 where none is due
+            gs = np.where(rot, ga, 1.0)
+            zeta = (be - al) / (2.0 * gs)
+            t = np.copysign(rot / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta)), zeta)
+            c = 1.0 / np.sqrt(1.0 + t * t)
+            sig = (c * t / gs) * g.conj()
+            c = c.astype(np.complex128)
+            sq = sig * q
+            q *= c
+            q += sig.conj() * p
+            p *= c
+            p -= sq
+            tg = t * ga
+            # rounding can take a vanishing column's norm below zero
+            np.maximum(al - tg, 0.0, out=al)
+            be += tg
+        if not rotated:
+            norms = np.sqrt(norms)
+            norms.sort(axis=0)
+            return norms[::-1].T
+    raise ConvergenceFailure(f"one-sided Jacobi still rotating after {JACOBI_MAX_SWEEPS} sweeps")
+
+
+def _filters(s, v):
+    """(2, 2, N) stack of filters (1 + s v.sigma)/(1 + s), built elementwise."""
+    nu = 1.0 / (1.0 + s)
+    snu = s * nu
+    f = np.empty((2, 2, len(s)), dtype=np.complex128)
+    f[0, 0] = nu + snu * v[:, 2]
+    f[1, 1] = nu - snu * v[:, 2]
+    f[0, 1] = snu * (v[:, 0] - 1j * v[:, 1])
+    f[1, 0] = snu * (v[:, 0] + 1j * v[:, 1])
+    return f
+
+
+def _filtered_roots(x, a, n, b, m):
+    """(4, 4, N) roots (A x B) X of the filtered states, X as (2, 2, 4).
+
+    The filters are Hermitian, so (A x B) X is a root of the transformed
+    state. X's rows are (Alice, Bob) index pairs, so B acts on axis 1 and
+    A on axis 0 of the (2, 2, 4, N) product.
+    """
+    fa = _filters(a, n)
+    fb = _filters(b, m)
+    y = x[:, None, 0, :, None] * fb[:, 0, None] + x[:, None, 1, :, None] * fb[:, 1, None]
+    return (fa[:, 0, None, None] * y[0] + fa[:, 1, None, None] * y[1]).reshape(4, 4, -1)
+
+
+def _tau(z):
+    """(4, 4, N) stack of tau = Z^T (sy x sy) Z for roots Z as (4, 4, N).
+
+    (sy x sy) pairs rows 1, 2 with sign +1 and rows 0, 3 with -1, so
+    tau = M + M^T with M = z1 z2^T - z0 z3^T.
+    """
+    mz = z[1, :, None] * z[2]
+    mz -= z[0, :, None] * z[3]
+    return mz + mz.swapaxes(0, 1)
 
 
 def _usable_cpus():
@@ -112,6 +211,13 @@ def filter_gain_batch(rho, c_in, a, n, b, m, tol_prob=1e-14):
     probability falls at or below ``tol_prob`` get gain -inf (the branch
     filters out).
 
+    Each chunk is held batch-last. Both filters are built elementwise as
+    (2, 2, N) stacks, the filtered root (A x B) X as (1 x B) then (A x 1)
+    broadcast products over X reshaped to (2, 2, 4), the branch probability
+    as its squared norm, and tau as a (4, 4, N) stack whose singular values
+    come from :func:`tau_singular_values`; the clamp policy is
+    :func:`concurrence_from_lambdas`, as for a single state.
+
     The points are evaluated in chunks of ``CHUNK``. A batch of two or more
     chunks is spread over a thread pool with one worker per usable CPU (at
     most one per chunk); numpy's kernels release the GIL, so the chunks run
@@ -126,24 +232,22 @@ def filter_gain_batch(rho, c_in, a, n, b, m, tol_prob=1e-14):
         raise ValueError("parameter arrays must share their leading dimension")
     if n.shape[1:] != (3,) or m.shape[1:] != (3,):
         raise ValueError("axis arrays must have shape (N, 3)")
-    x = state_root(rho)
+    x = state_root(rho).reshape(2, 2, 4)
     gains = np.empty(len(a))
     t = np.empty(len(a))
 
     def run(lo):
         s = slice(lo, lo + CHUNK)
-        fa = _filter_mats(a[s], n[s])
-        fb = _filter_mats(b[s], m[s])
-        K = np.einsum("nab,ncd->nacbd", fa, fb).reshape(-1, 4, 4)
-        # filters are Hermitian, so K X is a root of the transformed state
-        kx = K @ x
+        z = _filtered_roots(x, a[s], n[s], b[s], m[s])
         tc = t[s]
-        tc[:] = (kx.real**2 + kx.imag**2).sum(axis=(1, 2))
+        tc[:] = (z.real**2 + z.imag**2).sum(axis=(0, 1))
         gc = gains[s]
         gc[:] = -np.inf
         ok = tc > tol_prob
         if ok.any():
-            gc[ok] = concurrence_from_lambdas(lambdas(kx[ok]) / tc[ok, None]) - c_in
+            tau = _tau(z if ok.all() else z[:, :, ok])
+            del z  # the solve does not need the roots; keeps peak memory down
+            gc[ok] = concurrence_from_lambdas(tau_singular_values(tau) / tc[ok, None]) - c_in
 
     starts = range(0, len(a), CHUNK)
     workers = min(_usable_cpus(), len(starts))
@@ -161,6 +265,12 @@ def filter_gain_batch(rho, c_in, a, n, b, m, tol_prob=1e-14):
 
 
 def filter_gain_single(rho, c_in, a, n, b, m, tol_prob=1e-14):
-    """Single-point version of :func:`filter_gain_batch`."""
+    """Single-point version of :func:`filter_gain_batch`.
+
+    No package code calls it (the search sends every point through the
+    batch); it stays for the compiled core's interface. A one-point Jacobi
+    solve costs about as many numpy calls as a full chunk, so this is
+    slower than one LAPACK ``svd`` of the same tau would be.
+    """
     gains, t = filter_gain_batch(rho, c_in, [a], [n], [b], [m], tol_prob)
     return float(gains[0]), float(t[0])

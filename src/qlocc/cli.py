@@ -9,9 +9,11 @@ validation failure (among them ``NotAttained``: a filtering normal form
 that no finite filter pair reaches), 3 certificate violation (a bug
 sentinel, not physics).
 Every output embeds or accompanies a manifest (command, parameter echo,
-seed, version, kernel backend, numpy version, timestamp). Rerunning its
-command on the same backend and numpy version reproduces the output apart
-from the timestamp; certificate bits differ between backends.
+seed, version, kernel backend, numpy version, LAPACK name and version,
+timestamp). Rerunning its command on the same backend, numpy version and
+LAPACK build reproduces the output apart from the timestamp (the state root
+and single-state spectra go through LAPACK); certificate bits differ
+between backends.
 """
 
 from __future__ import annotations
@@ -57,6 +59,15 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _lapack() -> dict:
+    """Name and version of the LAPACK numpy was built against."""
+    try:
+        dep = np.__config__.CONFIG["Build Dependencies"]["lapack"]
+        return {"name": dep["name"], "version": dep["version"]}
+    except (AttributeError, KeyError):  # pragma: no cover - numpy before 1.26
+        return {"name": "unknown", "version": "unknown"}
+
+
 def _manifest(command: str, params: dict, seed=None) -> dict:
     return {
         "command": command,
@@ -65,6 +76,7 @@ def _manifest(command: str, params: dict, seed=None) -> dict:
         "version": qlocc.__version__,
         "backend": qlocc.BACKEND,
         "numpy": np.__version__,
+        "lapack": _lapack(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
 

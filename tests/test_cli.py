@@ -3,7 +3,8 @@ import json
 import numpy as np
 
 import qlocc
-from qlocc import cli, nogo
+from qlocc import _kernels, cli, nogo
+from qlocc._kernels import _fallback
 from qlocc.errors import NotAttained
 from qlocc.states import density_matrix_to_dict, make_werner
 
@@ -100,6 +101,8 @@ def test_nogo_certificate(tmp_path, capsys):
     # certificate bits depend on the kernel backend and the numpy build
     assert doc["manifest"]["backend"] == qlocc.BACKEND
     assert doc["manifest"]["numpy"] == np.__version__
+    lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]
+    assert doc["manifest"]["lapack"] == {"name": lapack["name"], "version": lapack["version"]}
 
 
 def test_nogo_rerun_is_byte_identical(tmp_path, capsys):
@@ -110,6 +113,14 @@ def test_nogo_rerun_is_byte_identical(tmp_path, capsys):
     body1 = json.dumps(json.loads(out1)["certificate"], sort_keys=True)
     body2 = json.dumps(json.loads(out2)["certificate"], sort_keys=True)
     assert body1 == body2
+
+
+def test_nogo_jacobi_sweep_cap_is_validation_error(capsys, monkeypatch):
+    monkeypatch.setattr(_kernels, "filter_gain_batch", _fallback.filter_gain_batch)
+    monkeypatch.setattr(_fallback, "JACOBI_MAX_SWEEPS", 1)
+    code, _, err = _run(capsys, ["nogo", "--werner", "0.8", "--restarts", "64"])
+    assert code == 2
+    assert "sweeps" in err
 
 
 def test_nogo_unentangled_input(capsys):
@@ -172,6 +183,8 @@ def test_sweep_out_writes_manifest_sidecar(tmp_path, capsys):
     sidecar = json.loads((tmp_path / "sweep.csv.manifest.json").read_text())
     assert sidecar["command"] == "sweep"
     assert sidecar["backend"] == qlocc.BACKEND
+    assert set(sidecar["lapack"]) == {"name", "version"}
+    assert sidecar["lapack"]["name"] != "unknown"
 
 
 def test_collective_monotone_csv(capsys):

@@ -7,7 +7,8 @@ import pytest
 
 from qlocc import _kernels, states
 from qlocc._kernels import _fallback
-from qlocc.errors import SpectrumError
+from qlocc.errors import ConvergenceFailure, SpectrumError
+from qlocc.locc import random_filter, random_unitary
 from qlocc.nogo import SearchConfig, certificate_to_dict, maximize_concurrence_gain
 
 try:
@@ -130,14 +131,106 @@ def test_threaded_batch_is_identical_to_chunks_and_one_worker(rng, monkeypatch):
 
 
 def test_threaded_batch_raises_worker_errors(rng, monkeypatch):
-    def fail(x):
+    def fail(tau):
         raise FloatingPointError("chunk failed")
 
     rho = states.random_density_matrix(rng).mat
     monkeypatch.setattr(_fallback, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(_fallback, "lambdas", fail)
+    monkeypatch.setattr(_fallback, "tau_singular_values", fail)
     with pytest.raises(FloatingPointError, match="chunk failed"):
         _fallback.filter_gain_batch(rho, 0.1, *_random_batch(rng, 2 * _fallback.CHUNK))
+
+
+def _kron_roots(rho, rng, N, max_strength):
+    """Roots (A x B) X of N randomly filtered copies of rho, built as dense
+    Kronecker products, and their squared norms t = tr((A x B) rho (A x B)+)."""
+    a, n, b, m = _random_batch(rng, N)
+    a *= max_strength / 0.98
+    b *= max_strength / 0.98
+    pauli = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+    fa = np.eye(2) + a[:, None, None] * np.einsum("nk,kij->nij", n, pauli)
+    fb = np.eye(2) + b[:, None, None] * np.einsum("nk,kij->nij", m, pauli)
+    kron = np.einsum("nab,ncd->nacbd", fa, fb).reshape(N, 4, 4)
+    roots = kron @ _fallback.state_root(rho)
+    return roots, (np.abs(roots) ** 2).sum(axis=(1, 2))
+
+
+def _tau_stack(roots):
+    yy = np.fliplr(np.diag([-1.0, 1.0, 1.0, -1.0]))
+    return np.moveaxis(np.swapaxes(roots, -1, -2) @ (yy @ roots), 0, -1).copy()
+
+
+JACOBI_CASES = {
+    "random": lambda rng: states.random_density_matrix(rng).mat,
+    "werner-1": lambda rng: states.make_werner(1.0).mat,
+    "singlet-uu": lambda rng: 0.6 * states.make_werner(1.0).mat + 0.4 * np.diag([1.0, 0, 0, 0]),
+    "product": lambda rng: np.diag([1.0, 0, 0, 0]).astype(complex),
+}
+
+
+@pytest.mark.parametrize("case", list(JACOBI_CASES))
+@pytest.mark.parametrize("max_strength", [0.98, 0.999])
+def test_jacobi_matches_lapack(case, max_strength, rng):
+    # the batched solver against LAPACK's svd of the same tau, point by
+    # point, within 8 eps of the spectrum's scale t; the rank-1 and rank-2
+    # states give tau zero columns, the product state a zero spectrum
+    for _ in range(4):
+        rho = JACOBI_CASES[case](rng)
+        roots, t = _kron_roots(rho, rng, 200, max_strength)
+        tau = _tau_stack(roots)
+        with np.errstate(divide="raise", over="raise", invalid="raise"):
+            sv = _fallback.tau_singular_values(tau)
+        assert sv.shape == (200, 4)
+        assert np.all(np.diff(sv, axis=1) <= 0)
+        assert np.all(np.abs(sv - _fallback.lambdas(roots)) <= 8 * _fallback._EPS * t[:, None])
+
+
+def test_jacobi_point_does_not_depend_on_stack(rng):
+    # a converged point gets the exact identity, so solving it alone or
+    # among slower points gives the same bits
+    rho = states.random_density_matrix(rng).mat
+    roots, _ = _kron_roots(rho, rng, 40, 0.999)
+    roots[::3] = _kron_roots(states.make_werner(1.0).mat, rng, 14, 0.98)[0]
+    tau = _tau_stack(roots)
+    alone = [_fallback.tau_singular_values(tau[:, :, i : i + 1].copy()) for i in range(40)]
+    assert np.array_equal(_fallback.tau_singular_values(tau), np.concatenate(alone))
+
+
+def test_jacobi_zero_columns_give_zeros():
+    tau = np.zeros((4, 4, 3), dtype=complex)
+    tau[:, 0, 1] = [1.0, 2j, 0.0, 0.5]
+    tau[:, 2, 2] = [0.0, 1.0, 1.0, 0.0]
+    tau[:, 3, 2] = [0.0, 1.0, -1.0, 0.0]
+    with np.errstate(divide="raise", over="raise", invalid="raise"):
+        sv = _fallback.tau_singular_values(tau)
+    np.testing.assert_array_equal(sv[0], np.zeros(4))
+    np.testing.assert_allclose(sv[1], [np.sqrt(5.25), 0, 0, 0], rtol=1e-15)
+    np.testing.assert_allclose(sv[2], [np.sqrt(2), np.sqrt(2), 0, 0], rtol=1e-15)
+
+
+def test_jacobi_sweep_cap_raises(rng, monkeypatch):
+    monkeypatch.setattr(_fallback, "JACOBI_MAX_SWEEPS", 1)
+    rho = states.random_density_matrix(rng).mat
+    with pytest.raises(ConvergenceFailure):
+        _fallback.filter_gain_batch(rho, 0.1, *_random_batch(rng, 16))
+
+
+def test_batched_gain_at_strong_filters_matches_40_digits():
+    # draw 491 at seed 999 (as in test_entanglement): filters of strength
+    # 0.998 and 0.979; the expected value is the filtered state's
+    # concurrence in 60-digit arithmetic, taking rho and the filter
+    # parameters as exact
+    rng = np.random.default_rng(999)
+    for _ in range(492):
+        rho = states.random_density_matrix(rng)
+        fa, fb = random_filter(rng, 0.999), random_filter(rng, 0.999)
+        # that test's local unitaries, drawn to keep the sequence
+        random_unitary(rng)
+        random_unitary(rng)
+    gains, _ = _fallback.filter_gain_batch(
+        rho.mat, 0.0, [fa.strength], [fa.axis], [fb.strength], [fb.axis]
+    )
+    assert abs(gains[0] - 6.164472197178993e-06) < 1e-10
 
 
 def test_threaded_certificate_is_identical_to_one_worker(monkeypatch):
