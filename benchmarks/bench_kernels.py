@@ -8,11 +8,12 @@ The batched figure is per point over 100000 points. The fallback spreads
 a batch that large over a thread pool, one worker per usable CPU, so its
 batched figure is multi-threaded; the compiled core's is single-threaded.
 
-The fallback takes the singular values of its batched tau stacks by
-one-sided Jacobi, vectorized over the points, so a call pays a few hundred
-numpy calls whatever its size. Its one-point figure therefore measures
-that fixed cost: the search sends every point through the batch, and no
-package code takes the one-point path.
+The fallback takes the singular values of a tau stack of at least
+``JACOBI_MIN_POINTS`` points by one-sided Jacobi, vectorized over the
+points, and of a shorter one by LAPACK's ``svd``. Its one-point figure
+therefore times one LAPACK solve plus the batch's set-up; the search sends
+every point through the batch, and no package code takes the one-point
+path.
 """
 
 import time

@@ -8,11 +8,12 @@ tau+ tau = X+ rho~ X has the eigenvalues of rho * rho~. The compiled core
 still takes the general eigenvalues of rho * rho~.
 
 Two solvers take those singular values, behind one root (``state_root``),
-one tau and one clamp policy (``concurrence_from_lambdas``). A single state
-goes through LAPACK's ``svd`` (``lambdas``). The batched gain kernel holds
-its points batch-last, as (4, 4, N) stacks, and solves them all at once by
-one-sided Jacobi (``tau_singular_values``); the two agree within a few
-eps * tr(rho).
+one tau and one clamp policy (``concurrence_from_lambdas``). LAPACK's
+``svd`` (``_svd_values``) serves single states (``lambdas``) and the batched
+gain kernel's chunks of fewer than ``JACOBI_MIN_POINTS`` points. The kernel
+holds its points batch-last, as (4, 4, N) stacks, and solves a longer chunk
+all at once by one-sided Jacobi (``tau_singular_values``). The two solvers
+agree within a few eps * tr(rho).
 """
 
 from __future__ import annotations
@@ -39,12 +40,15 @@ _EPS = float(np.finfo(np.float64).eps)
 # kron(sy, sy) is the real antidiagonal (-1, 1, 1, -1): applied to X it
 # reverses the rows and signs them
 _YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
-# l1 - l2 - l3 - l4 as a matrix product; the trailing axis it keeps lets
-# one in-place noise snap serve a single spectrum and a stack alike
-_CONC_SIGNS = np.array([[1.0], [-1.0], [-1.0], [-1.0]])
 # filter_gain_batch evaluates its points in chunks of this many, so the
 # temporaries of one chunk stay within a few MB
 CHUNK = 4096
+# filter_gain_batch solves a chunk of fewer points than this by LAPACK's
+# svd, one 4x4 matrix at a time, and a longer one by one-sided Jacobi. A
+# Jacobi solve is a few hundred numpy calls whatever its length (0.7 ms at
+# one point), LAPACK about 5.3 us per point; both take 1.4 ms at 256 points
+# (shared 2-CPU Xeon virtual machine, numpy 2.4).
+JACOBI_MIN_POINTS = 256
 # One-sided Jacobi: a column pair is rotated while |<p, q>| exceeds
 # JACOBI_TOL * |p| |q| (four rows, so about the rounding of the inner
 # product); a stack that still rotates after JACOBI_MAX_SWEEPS sweeps raises
@@ -83,20 +87,41 @@ def state_root(rho):
     return v * np.sqrt(w)
 
 
-def lambdas(x):
-    """Descending lambda spectrum of a root X, by LAPACK ``svd`` of tau.
+def _svd_values(tau):
+    """Descending singular values of a (..., 4, 4) stack, by LAPACK ``svd``.
 
-    Serves single states; a (..., 4, 4) stack of roots works too, but the
-    batched kernel solves its stacks with :func:`tau_singular_values`, which
-    is faster per point but costs a few hundred numpy calls per solve.
+    The one LAPACK call site for tau's singular values, shared by
+    :func:`lambdas` and the batched kernel; its ``LinAlgError`` becomes
+    :class:`~qlocc.errors.ConvergenceFailure`.
+    """
+    try:
+        return np.linalg.svd(tau, compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceFailure(str(exc)) from exc
+
+
+def lambdas(x):
+    """Descending lambda spectrum of a root X, the singular values of tau.
+
+    Serves single states; a (..., 4, 4) stack of roots works too. Solved by
+    :func:`_svd_values`, as are the batched kernel's chunks of fewer than
+    ``JACOBI_MIN_POINTS`` points; longer chunks go to
+    :func:`tau_singular_values`.
     """
     tau = np.swapaxes(x, -1, -2) @ (_YY_SIGNS * x[..., ::-1, :])
-    return np.linalg.svd(tau, compute_uv=False)
+    return _svd_values(tau)
 
 
 def concurrence_from_lambdas(lam):
-    """l1 - l2 - l3 - l4, with noise below CONC_NOISE set to 0, capped at 1."""
-    c = np.minimum(1.0, lam @ _CONC_SIGNS)
+    """l1 - l2 - l3 - l4, with noise below CONC_NOISE set to 0, capped at 1.
+
+    Elementwise, so a spectrum's result does not depend on the stack it
+    comes in (a matrix product would reach BLAS, whose rounding does). The
+    trailing axis the slices keep lets one in-place noise snap serve a
+    single spectrum and a stack alike.
+    """
+    c = lam[..., :1] - lam[..., 1:2] - lam[..., 2:3] - lam[..., 3:]
+    np.minimum(1.0, c, out=c)
     c[c < CONC_NOISE] = 0.0
     return c[..., 0]
 
@@ -181,6 +206,18 @@ def _filtered_roots(x, a, n, b, m):
     return (fa[:, 0, None, None] * y[0] + fa[:, 1, None, None] * y[1]).reshape(4, 4, -1)
 
 
+def _squared_norms(z):
+    """(N,) squared norms of a (4, 4, N) stack.
+
+    Summed by halving the 16 entries, in one order whatever N is; numpy's
+    ``sum`` changes its order at N = 1.
+    """
+    q = (z.real**2 + z.imag**2).reshape(16, -1)
+    while len(q) > 1:
+        q = q[: len(q) // 2] + q[len(q) // 2 :]
+    return q[0]
+
+
 def _tau(z):
     """(4, 4, N) stack of tau = Z^T (sy x sy) Z for roots Z as (4, 4, N).
 
@@ -214,9 +251,13 @@ def filter_gain_batch(rho, c_in, a, n, b, m, tol_prob=1e-14):
     Each chunk is held batch-last. Both filters are built elementwise as
     (2, 2, N) stacks, the filtered root (A x B) X as (1 x B) then (A x 1)
     broadcast products over X reshaped to (2, 2, 4), the branch probability
-    as its squared norm, and tau as a (4, 4, N) stack whose singular values
-    come from :func:`tau_singular_values`; the clamp policy is
-    :func:`concurrence_from_lambdas`, as for a single state.
+    as its squared norm, and tau as a (4, 4, N) stack. A chunk of at least
+    ``JACOBI_MIN_POINTS`` points takes tau's singular values from
+    :func:`tau_singular_values`, a shorter one from :func:`_svd_values` on
+    the (N, 4, 4) view of the same stack. The choice rests on the chunk's
+    length, not on how many of its points pass ``tol_prob``, so a point's
+    result depends only on the point and its chunk's length. The clamp
+    policy is :func:`concurrence_from_lambdas`, as for a single state.
 
     The points are evaluated in chunks of ``CHUNK``. A batch of two or more
     chunks is spread over a thread pool with one worker per usable CPU (at
@@ -240,14 +281,18 @@ def filter_gain_batch(rho, c_in, a, n, b, m, tol_prob=1e-14):
         s = slice(lo, lo + CHUNK)
         z = _filtered_roots(x, a[s], n[s], b[s], m[s])
         tc = t[s]
-        tc[:] = (z.real**2 + z.imag**2).sum(axis=(0, 1))
+        tc[:] = _squared_norms(z)
         gc = gains[s]
         gc[:] = -np.inf
         ok = tc > tol_prob
         if ok.any():
             tau = _tau(z if ok.all() else z[:, :, ok])
             del z  # the solve does not need the roots; keeps peak memory down
-            gc[ok] = concurrence_from_lambdas(tau_singular_values(tau) / tc[ok, None]) - c_in
+            if len(tc) < JACOBI_MIN_POINTS:
+                sv = _svd_values(np.moveaxis(tau, -1, 0))
+            else:
+                sv = tau_singular_values(tau)
+            gc[ok] = concurrence_from_lambdas(sv / tc[ok, None]) - c_in
 
     starts = range(0, len(a), CHUNK)
     workers = min(_usable_cpus(), len(starts))
@@ -268,9 +313,8 @@ def filter_gain_single(rho, c_in, a, n, b, m, tol_prob=1e-14):
     """Single-point version of :func:`filter_gain_batch`.
 
     No package code calls it (the search sends every point through the
-    batch); it stays for the compiled core's interface. A one-point Jacobi
-    solve costs about as many numpy calls as a full chunk, so this is
-    slower than one LAPACK ``svd`` of the same tau would be.
+    batch); it stays for the compiled core's interface. Its one point is a
+    chunk below ``JACOBI_MIN_POINTS``, so LAPACK's ``svd`` solves it.
     """
     gains, t = filter_gain_batch(rho, c_in, [a], [n], [b], [m], tol_prob)
     return float(gains[0]), float(t[0])

@@ -140,6 +140,20 @@ def _axes_from_angles(theta, phi):
     return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=1)
 
 
+def _top_indices(g, k):
+    """``np.argsort(-g, kind="stable")[:k]`` without sorting all of ``g``.
+
+    The k-th largest value comes from ``np.partition``; only the entries at
+    or above it are sorted, stably by descending value, so ties keep index
+    order. ``g`` holds no NaN (the kernel's gains are finite or -inf).
+    """
+    if len(g) > k:
+        cand = np.flatnonzero(g >= np.partition(g, len(g) - k)[len(g) - k])
+    else:
+        cand = np.arange(len(g))
+    return cand[np.argsort(-g[cand], kind="stable")[:k]]
+
+
 def _sigmoid(x):
     """1/(1 + exp(-x)) without overflow, for any real x."""
     e = np.exp(-np.abs(x))
@@ -277,10 +291,11 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     rand = _random_params(rng, cfg.restarts)
     rand_gains = _consume(*rand)
 
-    # refinement seeds: best candidates across both pools, strengths stretched
-    pool_gains = np.concatenate([grid_gains, rand_gains])
-    pool = np.concatenate([np.stack(grid, axis=1), np.stack(rand, axis=1)])
-    x0 = pool[np.argsort(-pool_gains, kind="stable")[:_REFINE_TOP]]
+    # refinement seeds: best candidates across both pools (grid first),
+    # strengths stretched; only the chosen rows are gathered
+    top = _top_indices(np.concatenate([grid_gains, rand_gains]), _REFINE_TOP)
+    ng = len(grid_gains)
+    x0 = np.array([[p[i] for p in grid] if i < ng else [p[i - ng] for p in rand] for i in top])
     x0[:, [0, 3]] = _logit(x0[:, [0, 3]])
 
     def neg_gains(x):

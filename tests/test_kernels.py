@@ -7,6 +7,7 @@ import pytest
 
 from qlocc import _kernels, states
 from qlocc._kernels import _fallback
+from qlocc.entanglement import concurrence
 from qlocc.errors import ConvergenceFailure, SpectrumError
 from qlocc.locc import random_filter, random_unitary
 from qlocc.nogo import SearchConfig, certificate_to_dict, maximize_concurrence_gain
@@ -209,28 +210,80 @@ def test_jacobi_zero_columns_give_zeros():
 
 
 def test_jacobi_sweep_cap_raises(rng, monkeypatch):
+    # the shortest chunk that the Jacobi solver takes
     monkeypatch.setattr(_fallback, "JACOBI_MAX_SWEEPS", 1)
     rho = states.random_density_matrix(rng).mat
     with pytest.raises(ConvergenceFailure):
-        _fallback.filter_gain_batch(rho, 0.1, *_random_batch(rng, 16))
+        _fallback.filter_gain_batch(rho, 0.1, *_random_batch(rng, _fallback.JACOBI_MIN_POINTS))
 
 
-def test_batched_gain_at_strong_filters_matches_40_digits():
+def test_lapack_failure_is_convergence_failure(rng, monkeypatch):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    rho = states.random_density_matrix(rng)
+    monkeypatch.setattr(np.linalg, "svd", fail)
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        _fallback.filter_gain_batch(rho.mat, 0.1, *_random_batch(rng, 6))
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        concurrence(rho)
+
+
+def test_batched_gain_at_strong_filters_matches_40_digits(rng):
     # draw 491 at seed 999 (as in test_entanglement): filters of strength
     # 0.998 and 0.979; the expected value is the filtered state's
     # concurrence in 60-digit arithmetic, taking rho and the filter
-    # parameters as exact
-    rng = np.random.default_rng(999)
+    # parameters as exact. Alone the point goes to LAPACK, in a chunk of
+    # JACOBI_MIN_POINTS to the Jacobi solver.
+    draws = np.random.default_rng(999)
     for _ in range(492):
-        rho = states.random_density_matrix(rng)
-        fa, fb = random_filter(rng, 0.999), random_filter(rng, 0.999)
+        rho = states.random_density_matrix(draws)
+        fa, fb = random_filter(draws, 0.999), random_filter(draws, 0.999)
         # that test's local unitaries, drawn to keep the sequence
-        random_unitary(rng)
-        random_unitary(rng)
+        random_unitary(draws)
+        random_unitary(draws)
     gains, _ = _fallback.filter_gain_batch(
         rho.mat, 0.0, [fa.strength], [fa.axis], [fb.strength], [fb.axis]
     )
     assert abs(gains[0] - 6.164472197178993e-06) < 1e-10
+    a, n, b, m = _random_batch(rng, _fallback.JACOBI_MIN_POINTS)
+    a[7], n[7], b[7], m[7] = fa.strength, fa.axis, fb.strength, fb.axis
+    gains, _ = _fallback.filter_gain_batch(rho.mat, 0.0, a, n, b, m)
+    assert abs(gains[7] - 6.164472197178993e-06) < 1e-10
+
+
+@pytest.mark.parametrize("case", list(JACOBI_CASES))
+def test_solver_routes_agree(case, rng):
+    # the same draws in a chunk one point short of the Jacobi solver and in
+    # one that takes it: the filtered state's concurrence before
+    # normalization, gain * t at c_in = 0, agrees within 8 eps t per point,
+    # so the gain within 8 eps
+    k = _fallback.JACOBI_MIN_POINTS
+    for _ in range(4):
+        rho = JACOBI_CASES[case](rng)
+        a, n, b, m = _random_batch(rng, k)
+        a[: k // 2] *= 0.999 / 0.98
+        g_jac, t_jac = _fallback.filter_gain_batch(rho, 0.0, a, n, b, m)
+        g_svd, t_svd = _fallback.filter_gain_batch(rho, 0.0, a[:-1], n[:-1], b[:-1], m[:-1])
+        assert np.array_equal(t_svd, t_jac[:-1])
+        assert np.isfinite(g_svd).all() and np.isfinite(g_jac).all()
+        assert np.all(np.abs(g_svd - g_jac[:-1]) <= 8 * _fallback._EPS)
+
+
+@pytest.mark.parametrize("case", ["random", "singlet-uu"])
+def test_lapack_chunk_equals_one_point_calls(case, rng):
+    # below JACOBI_MIN_POINTS a point's bits do not depend on its chunk
+    # mates; on the rank-2 state a pair of |d> projectors filters every
+    # fifth point out
+    rho = JACOBI_CASES[case](rng)
+    a, n, b, m = _random_batch(rng, 40)
+    a[::5], n[::5], b[::5], m[::5] = 1.0, [0.0, 0.0, -1.0], 1.0, [0.0, 0.0, -1.0]
+    gains, ts = _fallback.filter_gain_batch(rho, 0.3, a, n, b, m)
+    assert np.isneginf(gains[::5]).all() == (case == "singlet-uu")
+    alone = [_fallback.filter_gain_batch(rho, 0.3, a[i:i + 1], n[i:i + 1], b[i:i + 1], m[i:i + 1])
+             for i in range(40)]
+    assert np.array_equal(gains, np.concatenate([g for g, _ in alone]))
+    assert np.array_equal(ts, np.concatenate([t for _, t in alone]))
 
 
 def test_threaded_certificate_is_identical_to_one_worker(monkeypatch):

@@ -16,6 +16,7 @@ from qlocc.nogo import (
     _REFINE_TOP,
     SearchConfig,
     _quasi_newton,
+    _top_indices,
     certificate_to_dict,
     maximize_concurrence_gain,
     probability_floor,
@@ -59,6 +60,19 @@ def test_certificate_counts_evaluations():
     # the 12 central-difference gradient points
     assert cert.evaluations <= (SMALL.grid_density**6 + SMALL.restarts
                                 + _REFINE_TOP * (1 + SMALL.local_steps * (12 + len(_ALPHAS))))
+
+
+@pytest.mark.parametrize("size", [1, 5, 6, 7, 40, 3000])
+def test_top_indices_match_stable_argsort(size, rng):
+    # few distinct values, so ties cross the k-th place, and -inf entries
+    # (filtered-out points); size <= _REFINE_TOP takes every index
+    for _ in range(20):
+        g = rng.integers(-2, 3, size=size).astype(float)
+        g[rng.random(size) < 0.3] = -np.inf
+        for k in (1, _REFINE_TOP, size):
+            assert np.array_equal(_top_indices(g, k), np.argsort(-g, kind="stable")[:k])
+    g = np.full(size, -np.inf)
+    assert np.array_equal(_top_indices(g, _REFINE_TOP), np.arange(min(size, _REFINE_TOP)))
 
 
 HESS_6D = np.eye(6) + 0.3 * np.ones((6, 6))
