@@ -1,11 +1,9 @@
-"""Pure-Python (numpy) implementation of the hot kernels.
+"""The numpy kernels: the lambda spectrum, concurrence and the batched gain.
 
-Selected at import time when the compiled core is unavailable or when
-``QLOCC_PURE_PYTHON`` is set. Also the one route to the lambda spectrum for
-the whole package: with rho = X X+, the lambdas are the singular values of
-Wootters' tau = X^T (sy x sy) X (PRL 80, 2245 (1998)), since
-tau+ tau = X+ rho~ X has the eigenvalues of rho * rho~. The compiled core
-still takes the general eigenvalues of rho * rho~.
+The one route to the lambda spectrum for the whole package: with
+rho = X X+, the lambdas are the singular values of Wootters'
+tau = X^T (sy x sy) X (PRL 80, 2245 (1998)), since tau+ tau = X+ rho~ X
+has the eigenvalues of rho * rho~.
 
 Two solvers take those singular values, behind one root (``state_root``),
 one tau and one clamp policy (``concurrence_from_lambdas``). LAPACK's
@@ -24,7 +22,8 @@ import numpy as np
 
 from qlocc.errors import ConvergenceFailure, SpectrumError
 
-BACKEND_NAME = "python"
+# the name manifests record for these kernels
+BACKEND = "python"
 
 # Clamp policy. A state eigenvalue below -NEG_TOL signals a bug rather than
 # conditioning. State eigenvalues below the eigensolver's resolution
@@ -65,7 +64,13 @@ _JACOBI_ROUNDS = (
 
 
 def eigvals4x4(m):
-    """Unordered eigenvalues of a 4x4 complex matrix."""
+    """Unordered eigenvalues of a 4x4 complex matrix, by LAPACK.
+
+    No package code calls it: the lambda spectrum goes through tau's
+    singular values. It stays only because the benchmark's tracer
+    (``perfbench/tracing.py``) looks it up by name, and goes with the
+    figure that times it.
+    """
     arr = np.asarray(m, dtype=np.complex128)
     if arr.shape != (4, 4):
         raise ValueError("expected a 4x4 matrix")
@@ -313,8 +318,10 @@ def filter_gain_single(rho, c_in, a, n, b, m, tol_prob=1e-14):
     """Single-point version of :func:`filter_gain_batch`.
 
     No package code calls it (the search sends every point through the
-    batch); it stays for the compiled core's interface. Its one point is a
-    chunk below ``JACOBI_MIN_POINTS``, so LAPACK's ``svd`` solves it.
+    batch). It stays only because the benchmark's tracer
+    (``perfbench/tracing.py``) looks it up by name, and goes with the figures
+    that time it. Its one point is a chunk below ``JACOBI_MIN_POINTS``, so
+    LAPACK's ``svd`` solves it.
     """
     gains, t = filter_gain_batch(rho, c_in, [a], [n], [b], [m], tol_prob)
     return float(gains[0]), float(t[0])

@@ -10,10 +10,9 @@ that no finite filter pair reaches), 3 certificate violation (a bug
 sentinel, not physics).
 Every output embeds or accompanies a manifest (command, parameter echo,
 seed, version, kernel backend, numpy version, LAPACK name and version,
-timestamp). Rerunning its command on the same backend, numpy version and
-LAPACK build reproduces the output apart from the timestamp (the state root
-and single-state spectra go through LAPACK); certificate bits differ
-between backends.
+timestamp). Rerunning its command on the same numpy version and LAPACK
+build reproduces the output apart from the timestamp (the state root and
+single-state spectra go through LAPACK).
 """
 
 from __future__ import annotations
@@ -21,6 +20,7 @@ from __future__ import annotations
 import argparse
 import datetime
 import json
+import math
 import sys
 
 import numpy as np
@@ -166,6 +166,9 @@ def cmd_sweep(args) -> int:
         except ValueError as exc:
             raise _UsageError(f"--f-list expects comma-separated numbers: {exc}") from exc
     else:
+        for flag, value in (("f-min", args.f_min), ("f-max", args.f_max), ("f-step", args.f_step)):
+            if not math.isfinite(value):
+                raise DomainError(f"--{flag} must be finite, got {value!r}")
         if args.f_step <= 0 or args.f_max < args.f_min:
             raise DomainError("empty sweep grid: need f-step > 0 and f-max >= f-min")
         count = int(round((args.f_max - args.f_min) / args.f_step)) + 1

@@ -2,8 +2,8 @@
 
 The spin flip sends rho to (sy x sy) conj(rho) (sy x sy), with conjugation
 taken in the basis where sz is diagonal. The descending square roots of the
-eigenvalues of rho * rho~ form the lambda spectrum, computed by the numpy
-kernels' singular-value route whatever backend is active; concurrence is
+eigenvalues of rho * rho~ form the lambda spectrum, computed by the
+kernels' singular-value route (``qlocc._kernels``); concurrence is
 max(0, l1 - l2 - l3 - l4) and the entanglement of formation follows from it
 through the binary entropy. Ratios of the lambdas are unchanged by any
 invertible local filtering, which makes them single-copy invariants.
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from qlocc import linalg
-from qlocc._kernels import _fallback
+from qlocc._kernels import concurrence4, lambdas, state_root
 from qlocc.states import DensityMatrix
 
 _YY = linalg.kron(linalg.SY, linalg.SY)
@@ -60,7 +60,7 @@ def lambda_spectrum(rho: DensityMatrix) -> LambdaSpectrum:
     zeros do not pick up sqrt(eps) noise; an eigenvalue below -1e-9 raises
     :class:`~qlocc.errors.SpectrumError`.
     """
-    return LambdaSpectrum(tuple(_fallback.lambdas(_fallback.state_root(rho.mat)).tolist()))
+    return LambdaSpectrum(tuple(lambdas(state_root(rho.mat)).tolist()))
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -69,7 +69,7 @@ def concurrence(rho: DensityMatrix) -> float:
     Values below the rounding noise scale are returned as exactly zero,
     the positive-side counterpart of the max with zero.
     """
-    return _fallback.concurrence4(rho.mat)
+    return concurrence4(rho.mat)
 
 
 def binary_entropy(p: float) -> float:

@@ -472,7 +472,7 @@ def randomization_convexity_check(states, weights) -> bool:
     w = np.asarray(weights, dtype=float).reshape(-1)
     if len(states) != w.shape[0]:
         raise DomainError("need one weight per state")
-    if w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-12:
+    if not len(w) or not np.isfinite(w).all() or w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-12:
         raise DomainError(f"invalid probability vector {w.tolist()}")
     mixed = DensityMatrix(sum(wi * s.mat for wi, s in zip(w, states)))
     lhs = entanglement_of_formation(mixed)

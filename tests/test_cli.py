@@ -4,7 +4,6 @@ import numpy as np
 
 import qlocc
 from qlocc import _kernels, cli, nogo
-from qlocc._kernels import _fallback
 from qlocc.errors import NotAttained
 from qlocc.states import density_matrix_to_dict, make_werner
 
@@ -98,7 +97,7 @@ def test_nogo_certificate(tmp_path, capsys):
     assert doc["certificate"]["best_gain"] <= 1e-7
     assert doc["certificate"]["holds"] is True
     assert doc["manifest"]["seed"] == 7
-    # certificate bits depend on the kernel backend and the numpy build
+    # certificate bits depend on the numpy and LAPACK builds
     assert doc["manifest"]["backend"] == qlocc.BACKEND
     assert doc["manifest"]["numpy"] == np.__version__
     lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]
@@ -116,8 +115,7 @@ def test_nogo_rerun_is_byte_identical(tmp_path, capsys):
 
 
 def test_nogo_jacobi_sweep_cap_is_validation_error(capsys, monkeypatch):
-    monkeypatch.setattr(_kernels, "filter_gain_batch", _fallback.filter_gain_batch)
-    monkeypatch.setattr(_fallback, "JACOBI_MAX_SWEEPS", 1)
+    monkeypatch.setattr(_kernels, "JACOBI_MAX_SWEEPS", 1)
     code, _, err = _run(capsys, ["nogo", "--werner", "0.8", "--restarts", "64"])
     assert code == 2
     assert "sweeps" in err
@@ -172,6 +170,15 @@ def test_sweep_invalid_grid(capsys):
     code, _, _ = _run(capsys, ["sweep", "--f-min", "0.9", "--f-max", "0.6",
                                "--f-step", "0.1"])
     assert code == 1
+
+
+def test_sweep_non_finite_bounds_are_usage_errors(capsys):
+    for flag, value in (("--f-min", "nan"), ("--f-max", "nan"), ("--f-step", "nan"),
+                        ("--f-max", "inf"), ("--f-step", "inf"), ("--f-min", "-inf")):
+        code, out, err = _run(capsys, ["sweep", f"{flag}={value}", "--grid-density", "8"])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and flag in err
 
 
 def test_sweep_out_writes_manifest_sidecar(tmp_path, capsys):

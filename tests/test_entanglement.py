@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qlocc import linalg, states
-from qlocc._kernels import _fallback
+from qlocc import _kernels, linalg, states
 from qlocc.entanglement import (
     binary_entropy,
     concurrence,
@@ -144,7 +143,7 @@ def test_lambda_spectrum_matches_hermitian_oracle(rng):
             lambda_spectrum(rho).lambdas, lambda_oracle(rho.mat), atol=1e-8
         )
         # one route: the kernel's spectrum, bit for bit
-        kernel = _fallback.lambdas(_fallback.state_root(rho.mat))
+        kernel = _kernels.lambdas(_kernels.state_root(rho.mat))
         assert lambda_spectrum(rho).lambdas == tuple(kernel.tolist())
 
 
@@ -178,7 +177,7 @@ def test_concurrence_matches_oracle(rng):
     for _ in range(30):
         rho = states.random_density_matrix(rng)
         assert abs(concurrence(rho) - concurrence_oracle(rho.mat)) < 1e-8
-        assert concurrence(rho) == _fallback.concurrence4(rho.mat)
+        assert concurrence(rho) == _kernels.concurrence4(rho.mat)
 
 
 def test_concurrence_of_strongly_filtered_state():

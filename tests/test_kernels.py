@@ -1,4 +1,5 @@
-"""Backend equivalence: the compiled core and the numpy fallback must agree."""
+"""The numpy kernels: the Jacobi and LAPACK solvers against each other and
+against references, the batched gain, its threads and its error paths."""
 
 import sys
 
@@ -6,22 +7,16 @@ import numpy as np
 import pytest
 
 from qlocc import _kernels, states
-from qlocc._kernels import _fallback
 from qlocc.entanglement import concurrence
 from qlocc.errors import ConvergenceFailure, SpectrumError
 from qlocc.locc import random_filter, random_unitary
 from qlocc.nogo import SearchConfig, certificate_to_dict, maximize_concurrence_gain
 
-try:
-    from qlocc._kernels import _core
-except ImportError:
-    _core = None
-
-BACKENDS = [_fallback] if _core is None else [_fallback, _core]
-PAIRS = [] if _core is None else [(_core, _fallback)]
+# the kernels as a parameter, so each test's id names the backend it ran on
+ON_BACKEND = pytest.mark.parametrize("impl", [_kernels], ids=[_kernels.BACKEND])
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND_NAME)
+@ON_BACKEND
 def test_eigvals_specials(impl):
     np.testing.assert_allclose(impl.eigvals4x4(np.zeros((4, 4))), np.zeros(4), atol=1e-14)
     np.testing.assert_allclose(impl.eigvals4x4(np.eye(4)), np.ones(4), atol=1e-14)
@@ -29,45 +24,10 @@ def test_eigvals_specials(impl):
     np.testing.assert_allclose(w, [1, 2, 3, 4], atol=1e-13)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND_NAME)
+@ON_BACKEND
 def test_eigvals_rejects_wrong_shape(impl):
     with pytest.raises(ValueError):
         impl.eigvals4x4(np.eye(3))
-
-
-@pytest.mark.skipif(not PAIRS, reason="compiled core unavailable")
-def test_eigvals_cross_backend(rng):
-    core, fb = PAIRS[0]
-    for _ in range(500):
-        m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        w1 = np.sort_complex(core.eigvals4x4(m))
-        w2 = np.sort_complex(fb.eigvals4x4(m))
-        assert np.abs(w1 - w2).max() < 1e-10
-
-
-@pytest.mark.skipif(not PAIRS, reason="compiled core unavailable")
-def test_concurrence_cross_backend(rng):
-    core, fb = PAIRS[0]
-    for _ in range(300):
-        rho = states.random_density_matrix(rng).mat
-        assert abs(core.concurrence4(rho) - fb.concurrence4(rho)) < 1e-9
-
-
-@pytest.mark.skipif(not PAIRS, reason="compiled core unavailable")
-def test_gain_cross_backend(rng):
-    core, fb = PAIRS[0]
-    for _ in range(300):
-        rho = states.random_density_matrix(rng).mat
-        c_in = fb.concurrence4(rho)
-        a, b = rng.random() * 0.98, rng.random() * 0.98
-        n = rng.standard_normal(3)
-        n /= np.linalg.norm(n)
-        m = rng.standard_normal(3)
-        m /= np.linalg.norm(m)
-        g1, t1 = core.filter_gain_single(rho, c_in, a, n, b, m)
-        g2, t2 = fb.filter_gain_single(rho, c_in, a, n, b, m)
-        assert abs(g1 - g2) < 1e-8
-        assert abs(t1 - t2) < 1e-12
 
 
 def _random_batch(rng, N):
@@ -80,7 +40,7 @@ def _random_batch(rng, N):
     return a, n, b, m
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND_NAME)
+@ON_BACKEND
 def test_batch_matches_single(impl, rng):
     rho = states.random_density_matrix(rng).mat
     c_in = impl.concurrence4(rho)
@@ -92,7 +52,7 @@ def test_batch_matches_single(impl, rng):
         assert ts[i] == pytest.approx(t, abs=1e-14)
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND_NAME)
+@ON_BACKEND
 def test_batch_rejects_mismatched_shapes(impl, rng):
     rho = states.random_density_matrix(rng).mat
     a, n, b, m = _random_batch(rng, 3)
@@ -110,23 +70,23 @@ def test_threaded_batch_is_identical_to_chunks_and_one_worker(rng, monkeypatch):
     # about 2.5 chunks, so three workers share the output arrays and the
     # last chunk is partial; a short switch interval interleaves them often
     rho = states.random_density_matrix(rng).mat
-    c_in = _fallback.concurrence4(rho)
+    c_in = _kernels.concurrence4(rho)
     a, n, b, m = _random_batch(rng, 10_000)
-    monkeypatch.setattr(_fallback, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 4)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        gains, ts = _fallback.filter_gain_batch(rho, c_in, a, n, b, m)
+        gains, ts = _kernels.filter_gain_batch(rho, c_in, a, n, b, m)
     finally:
         sys.setswitchinterval(interval)
     parts = [
-        _fallback.filter_gain_batch(rho, c_in, a[s], n[s], b[s], m[s])
-        for s in (slice(lo, lo + _fallback.CHUNK) for lo in range(0, len(a), _fallback.CHUNK))
+        _kernels.filter_gain_batch(rho, c_in, a[s], n[s], b[s], m[s])
+        for s in (slice(lo, lo + _kernels.CHUNK) for lo in range(0, len(a), _kernels.CHUNK))
     ]
     assert np.array_equal(gains, np.concatenate([g for g, _ in parts]))
     assert np.array_equal(ts, np.concatenate([t for _, t in parts]))
-    monkeypatch.setattr(_fallback, "_usable_cpus", lambda: 1)
-    gains1, ts1 = _fallback.filter_gain_batch(rho, c_in, a, n, b, m)
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 1)
+    gains1, ts1 = _kernels.filter_gain_batch(rho, c_in, a, n, b, m)
     assert np.array_equal(gains, gains1)
     assert np.array_equal(ts, ts1)
 
@@ -136,10 +96,10 @@ def test_threaded_batch_raises_worker_errors(rng, monkeypatch):
         raise FloatingPointError("chunk failed")
 
     rho = states.random_density_matrix(rng).mat
-    monkeypatch.setattr(_fallback, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(_fallback, "tau_singular_values", fail)
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(_kernels, "tau_singular_values", fail)
     with pytest.raises(FloatingPointError, match="chunk failed"):
-        _fallback.filter_gain_batch(rho, 0.1, *_random_batch(rng, 2 * _fallback.CHUNK))
+        _kernels.filter_gain_batch(rho, 0.1, *_random_batch(rng, 2 * _kernels.CHUNK))
 
 
 def _kron_roots(rho, rng, N, max_strength):
@@ -152,7 +112,7 @@ def _kron_roots(rho, rng, N, max_strength):
     fa = np.eye(2) + a[:, None, None] * np.einsum("nk,kij->nij", n, pauli)
     fb = np.eye(2) + b[:, None, None] * np.einsum("nk,kij->nij", m, pauli)
     kron = np.einsum("nab,ncd->nacbd", fa, fb).reshape(N, 4, 4)
-    roots = kron @ _fallback.state_root(rho)
+    roots = kron @ _kernels.state_root(rho)
     return roots, (np.abs(roots) ** 2).sum(axis=(1, 2))
 
 
@@ -180,10 +140,10 @@ def test_jacobi_matches_lapack(case, max_strength, rng):
         roots, t = _kron_roots(rho, rng, 200, max_strength)
         tau = _tau_stack(roots)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            sv = _fallback.tau_singular_values(tau)
+            sv = _kernels.tau_singular_values(tau)
         assert sv.shape == (200, 4)
         assert np.all(np.diff(sv, axis=1) <= 0)
-        assert np.all(np.abs(sv - _fallback.lambdas(roots)) <= 8 * _fallback._EPS * t[:, None])
+        assert np.all(np.abs(sv - _kernels.lambdas(roots)) <= 8 * _kernels._EPS * t[:, None])
 
 
 def test_jacobi_point_does_not_depend_on_stack(rng):
@@ -193,8 +153,8 @@ def test_jacobi_point_does_not_depend_on_stack(rng):
     roots, _ = _kron_roots(rho, rng, 40, 0.999)
     roots[::3] = _kron_roots(states.make_werner(1.0).mat, rng, 14, 0.98)[0]
     tau = _tau_stack(roots)
-    alone = [_fallback.tau_singular_values(tau[:, :, i : i + 1].copy()) for i in range(40)]
-    assert np.array_equal(_fallback.tau_singular_values(tau), np.concatenate(alone))
+    alone = [_kernels.tau_singular_values(tau[:, :, i : i + 1].copy()) for i in range(40)]
+    assert np.array_equal(_kernels.tau_singular_values(tau), np.concatenate(alone))
 
 
 def test_jacobi_zero_columns_give_zeros():
@@ -203,7 +163,7 @@ def test_jacobi_zero_columns_give_zeros():
     tau[:, 2, 2] = [0.0, 1.0, 1.0, 0.0]
     tau[:, 3, 2] = [0.0, 1.0, -1.0, 0.0]
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        sv = _fallback.tau_singular_values(tau)
+        sv = _kernels.tau_singular_values(tau)
     np.testing.assert_array_equal(sv[0], np.zeros(4))
     np.testing.assert_allclose(sv[1], [np.sqrt(5.25), 0, 0, 0], rtol=1e-15)
     np.testing.assert_allclose(sv[2], [np.sqrt(2), np.sqrt(2), 0, 0], rtol=1e-15)
@@ -211,10 +171,10 @@ def test_jacobi_zero_columns_give_zeros():
 
 def test_jacobi_sweep_cap_raises(rng, monkeypatch):
     # the shortest chunk that the Jacobi solver takes
-    monkeypatch.setattr(_fallback, "JACOBI_MAX_SWEEPS", 1)
+    monkeypatch.setattr(_kernels, "JACOBI_MAX_SWEEPS", 1)
     rho = states.random_density_matrix(rng).mat
     with pytest.raises(ConvergenceFailure):
-        _fallback.filter_gain_batch(rho, 0.1, *_random_batch(rng, _fallback.JACOBI_MIN_POINTS))
+        _kernels.filter_gain_batch(rho, 0.1, *_random_batch(rng, _kernels.JACOBI_MIN_POINTS))
 
 
 def test_lapack_failure_is_convergence_failure(rng, monkeypatch):
@@ -224,7 +184,7 @@ def test_lapack_failure_is_convergence_failure(rng, monkeypatch):
     rho = states.random_density_matrix(rng)
     monkeypatch.setattr(np.linalg, "svd", fail)
     with pytest.raises(ConvergenceFailure, match="did not converge"):
-        _fallback.filter_gain_batch(rho.mat, 0.1, *_random_batch(rng, 6))
+        _kernels.filter_gain_batch(rho.mat, 0.1, *_random_batch(rng, 6))
     with pytest.raises(ConvergenceFailure, match="did not converge"):
         concurrence(rho)
 
@@ -242,13 +202,13 @@ def test_batched_gain_at_strong_filters_matches_40_digits(rng):
         # that test's local unitaries, drawn to keep the sequence
         random_unitary(draws)
         random_unitary(draws)
-    gains, _ = _fallback.filter_gain_batch(
+    gains, _ = _kernels.filter_gain_batch(
         rho.mat, 0.0, [fa.strength], [fa.axis], [fb.strength], [fb.axis]
     )
     assert abs(gains[0] - 6.164472197178993e-06) < 1e-10
-    a, n, b, m = _random_batch(rng, _fallback.JACOBI_MIN_POINTS)
+    a, n, b, m = _random_batch(rng, _kernels.JACOBI_MIN_POINTS)
     a[7], n[7], b[7], m[7] = fa.strength, fa.axis, fb.strength, fb.axis
-    gains, _ = _fallback.filter_gain_batch(rho.mat, 0.0, a, n, b, m)
+    gains, _ = _kernels.filter_gain_batch(rho.mat, 0.0, a, n, b, m)
     assert abs(gains[7] - 6.164472197178993e-06) < 1e-10
 
 
@@ -258,16 +218,16 @@ def test_solver_routes_agree(case, rng):
     # one that takes it: the filtered state's concurrence before
     # normalization, gain * t at c_in = 0, agrees within 8 eps t per point,
     # so the gain within 8 eps
-    k = _fallback.JACOBI_MIN_POINTS
+    k = _kernels.JACOBI_MIN_POINTS
     for _ in range(4):
         rho = JACOBI_CASES[case](rng)
         a, n, b, m = _random_batch(rng, k)
         a[: k // 2] *= 0.999 / 0.98
-        g_jac, t_jac = _fallback.filter_gain_batch(rho, 0.0, a, n, b, m)
-        g_svd, t_svd = _fallback.filter_gain_batch(rho, 0.0, a[:-1], n[:-1], b[:-1], m[:-1])
+        g_jac, t_jac = _kernels.filter_gain_batch(rho, 0.0, a, n, b, m)
+        g_svd, t_svd = _kernels.filter_gain_batch(rho, 0.0, a[:-1], n[:-1], b[:-1], m[:-1])
         assert np.array_equal(t_svd, t_jac[:-1])
         assert np.isfinite(g_svd).all() and np.isfinite(g_jac).all()
-        assert np.all(np.abs(g_svd - g_jac[:-1]) <= 8 * _fallback._EPS)
+        assert np.all(np.abs(g_svd - g_jac[:-1]) <= 8 * _kernels._EPS)
 
 
 @pytest.mark.parametrize("case", ["random", "singlet-uu"])
@@ -278,9 +238,9 @@ def test_lapack_chunk_equals_one_point_calls(case, rng):
     rho = JACOBI_CASES[case](rng)
     a, n, b, m = _random_batch(rng, 40)
     a[::5], n[::5], b[::5], m[::5] = 1.0, [0.0, 0.0, -1.0], 1.0, [0.0, 0.0, -1.0]
-    gains, ts = _fallback.filter_gain_batch(rho, 0.3, a, n, b, m)
+    gains, ts = _kernels.filter_gain_batch(rho, 0.3, a, n, b, m)
     assert np.isneginf(gains[::5]).all() == (case == "singlet-uu")
-    alone = [_fallback.filter_gain_batch(rho, 0.3, a[i:i + 1], n[i:i + 1], b[i:i + 1], m[i:i + 1])
+    alone = [_kernels.filter_gain_batch(rho, 0.3, a[i:i + 1], n[i:i + 1], b[i:i + 1], m[i:i + 1])
              for i in range(40)]
     assert np.array_equal(gains, np.concatenate([g for g, _ in alone]))
     assert np.array_equal(ts, np.concatenate([t for _, t in alone]))
@@ -288,16 +248,15 @@ def test_lapack_chunk_equals_one_point_calls(case, rng):
 
 def test_threaded_certificate_is_identical_to_one_worker(monkeypatch):
     # restarts beyond two chunks put the random stage on the pool
-    monkeypatch.setattr(_kernels, "filter_gain_batch", _fallback.filter_gain_batch)
     cfg = SearchConfig(restarts=9000, grid_density=2, local_steps=60, seed=5)
     rho = states.make_bell_diagonal([0.7, 0.1, 0.15, 0.05])
-    monkeypatch.setattr(_fallback, "_usable_cpus", lambda: 4)
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 4)
     threaded = certificate_to_dict(maximize_concurrence_gain(rho, cfg))
-    monkeypatch.setattr(_fallback, "_usable_cpus", lambda: 1)
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 1)
     assert threaded == certificate_to_dict(maximize_concurrence_gain(rho, cfg))
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND_NAME)
+@ON_BACKEND
 def test_filtered_out_gain_is_minus_inf(impl):
     # a projector pair annihilates the orthogonal pure product state
     up_up = np.zeros((4, 4), dtype=complex)
@@ -309,7 +268,7 @@ def test_filtered_out_gain_is_minus_inf(impl):
     assert ts[0] <= 1e-14
 
 
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND_NAME)
+@ON_BACKEND
 def test_concurrence_spectrum_policy(impl):
     # Hermitian unit-trace but not PSD: the clamp policy must flag it
     bad = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)
@@ -318,60 +277,12 @@ def test_concurrence_spectrum_policy(impl):
 
 
 def test_active_backend_exports():
-    assert _kernels.BACKEND in ("cython", "python")
+    assert _kernels.BACKEND == "python"
     assert callable(_kernels.eigvals4x4)
     assert callable(_kernels.filter_gain_batch)
 
 
-def _matched_err(w1, w2):
-    # robust to near-ties that plain sorting would cross-pair
-    w2 = list(w2)
-    err = 0.0
-    for z in w1:
-        j = int(np.argmin([abs(z - y) for y in w2]))
-        err = max(err, abs(z - w2.pop(j)))
-    return err
-
-
-@pytest.mark.skipif(not PAIRS, reason="compiled core unavailable")
-def test_eigvals_repeated_eigenvalues(rng):
-    # clustered spectra must not split at sqrt(eps)
-    core, _ = PAIRS[0]
-    for _ in range(300):
-        d = rng.choice([0.1, 0.1, 0.5, 0.5, 1.0], size=4)
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        q, _r = np.linalg.qr(g)
-        m = q @ np.diag(d) @ q.conj().T
-        w = np.sort(core.eigvals4x4(m).real)
-        assert np.abs(w - np.sort(d)).max() < 1e-13
-
-
-@pytest.mark.skipif(not PAIRS, reason="compiled core unavailable")
-def test_eigvals_extreme_scales(rng):
-    core, fb = PAIRS[0]
-    for scale in (1e-290, 1e-150, 1e150, 1e290):
-        m = scale * (rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
-        assert _matched_err(core.eigvals4x4(m), fb.eigvals4x4(m)) < 1e-12 * scale
-
-
-@pytest.mark.skipif(not PAIRS, reason="compiled core unavailable")
-def test_gain_cross_backend_strong_filters(rng):
-    # near-annihilating filters: the regime is intrinsically ill-conditioned
-    # (the output is within rounding of a product state), so the two
-    # backends are only required to agree far below any physical scale
-    core, fb = PAIRS[0]
-    for _ in range(500):
-        rho = states.random_density_matrix(rng).mat
-        a = 1 - 10.0 ** rng.uniform(-12, -0.3)
-        n = rng.standard_normal(3)
-        n /= np.linalg.norm(n)
-        g1, t1 = core.filter_gain_single(rho, 0.3, a, n, a, -n)
-        g2, t2 = fb.filter_gain_single(rho, 0.3, a, n, a, -n)
-        assert abs(g1 - g2) < 1e-5
-        assert abs(t1 - t2) < 1e-12
-
-
-@pytest.mark.parametrize("impl", BACKENDS, ids=lambda b: b.BACKEND_NAME)
+@ON_BACKEND
 def test_concurrence_noise_snap(impl):
     from qlocc.states import make_werner
 

@@ -397,6 +397,11 @@ def test_convexity_weight_validation():
         randomization_convexity_check([make_werner(0.8)], [0.7, 0.3])
     with pytest.raises(DomainError):
         randomization_convexity_check([make_werner(0.8), make_werner(0.7)], [0.7, 0.4])
+    with pytest.raises(DomainError):
+        randomization_convexity_check([], [])
+    for bad in ([math.nan, 1.0], [math.inf, 0.0], [0.5, math.nan]):
+        with pytest.raises(DomainError):
+            randomization_convexity_check([make_werner(0.8), make_werner(0.7)], bad)
 
 
 # --- Werner twirl ---
