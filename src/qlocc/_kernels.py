@@ -5,13 +5,18 @@ rho = X X+, the lambdas are the singular values of Wootters'
 tau = X^T (sy x sy) X (PRL 80, 2245 (1998)), since tau+ tau = X+ rho~ X
 has the eigenvalues of rho * rho~.
 
-Two solvers take those singular values, behind one root (``state_root``),
-one tau and one clamp policy (``concurrence_from_lambdas``). LAPACK's
-``svd`` (``_svd_values``) serves single states (``lambdas``) and the batched
-gain kernel's chunks of fewer than ``JACOBI_MIN_POINTS`` points. The kernel
-holds its points batch-last, as (4, 4, N) stacks, and solves a longer chunk
-all at once by one-sided Jacobi (``tau_singular_values``). The two solvers
-agree within a few eps * tr(rho).
+Two solvers take those singular values, behind one tau and one clamp policy
+(``concurrence_from_lambdas``). Single states (``lambdas``) use the root of
+``state_root``. The gain kernels use ``gain_root``, the same root turned by
+the right singular vectors of its tau, so that every filtered tau is
+column-orthogonal up to rounding. LAPACK's ``svd`` (``_svd``) serves single
+states, the chunks of fewer than ``JACOBI_MIN_POINTS`` points of the grid
+and random entry ``filter_gain_batch``, and the refinement entry
+``filter_gain_gradient``, which takes singular vectors too and returns exact
+gradients. ``filter_gain_batch`` holds its points batch-last, as (4, 4, N)
+stacks, and solves a longer chunk all at once by one-sided Jacobi
+(``tau_singular_values``), which the gain root lets stop after about two
+sweeps. The two solvers agree within a few eps * tr(rho).
 """
 
 from __future__ import annotations
@@ -34,11 +39,16 @@ ZERO_FLOOR_FACTOR = 100.0
 # concurrence below this is rounding noise around zero; snapped to zero
 # just as max(0, .) snaps the negative side
 CONC_NOISE = 1e-14
+# a branch whose probability t is at or below this filters out (gain -inf)
+TOL_PROB = 1e-14
 _EPS = float(np.finfo(np.float64).eps)
 
 # kron(sy, sy) is the real antidiagonal (-1, 1, 1, -1): applied to X it
 # reverses the rows and signs them
 _YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
+# the signs of l1 - l2 - l3 - l4, and sigma_x, sigma_y, sigma_z
+_CONC_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
+_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 # filter_gain_batch evaluates its points in chunks of this many, so the
 # temporaries of one chunk stay within a few MB
 CHUNK = 4096
@@ -51,7 +61,9 @@ JACOBI_MIN_POINTS = 256
 # One-sided Jacobi: a column pair is rotated while |<p, q>| exceeds
 # JACOBI_TOL * |p| |q| (four rows, so about the rounding of the inner
 # product); a stack that still rotates after JACOBI_MAX_SWEEPS sweeps raises
-# ConvergenceFailure. 4x4 stacks settle in four or five sweeps.
+# ConvergenceFailure. 4x4 stacks from an eigh root settle in four or five
+# sweeps; those from gain_root take two for a generic full-rank state, and
+# still about four for Werner and rank-deficient states.
 JACOBI_TOL = 4.0 * _EPS
 JACOBI_MAX_SWEEPS = 30
 # a sweep is three rounds of two disjoint column pairs, (0,1)(2,3),
@@ -92,29 +104,51 @@ def state_root(rho):
     return v * np.sqrt(w)
 
 
-def _svd_values(tau):
-    """Descending singular values of a (..., 4, 4) stack, by LAPACK ``svd``.
+def gain_root(rho):
+    """Root X W of rho whose tau has orthogonal columns, for the gain kernels.
 
-    The one LAPACK call site for tau's singular values, shared by
-    :func:`lambdas` and the batched kernel; its ``LinAlgError`` becomes
-    :class:`~qlocc.errors.ConvergenceFailure`.
+    X is :func:`state_root`'s root and W the right singular vectors of
+    tau(X), from one LAPACK ``svd``. W is unitary, so X W is a root of rho,
+    and tau(X W) = W^T tau(X) W = (V^T U) Sigma has orthogonal columns. A
+    local filter pair only multiplies tau by det A det B (Wootters' law), so
+    every filtered point's tau reaches :func:`tau_singular_values` already
+    column-orthogonal up to rounding, and its Jacobi solve stops after about
+    two sweeps instead of four. The law sets only how many sweeps run; every
+    value is still computed from the filtered root itself. Single-state
+    routes keep :func:`state_root`, as they have no Jacobi solve to shorten.
+    """
+    x = state_root(rho)
+    return x @ _svd(_root_tau(x), compute_uv=True)[2].conj().T
+
+
+def _svd(tau, compute_uv=False):
+    """LAPACK ``svd`` of a (..., 4, 4) stack: descending singular values, or
+    (U, values, V+) with ``compute_uv``.
+
+    The one LAPACK call site for tau's singular values and vectors, shared
+    by :func:`lambdas`, :func:`gain_root` and both gain entries; its
+    ``LinAlgError`` becomes :class:`~qlocc.errors.ConvergenceFailure`.
     """
     try:
-        return np.linalg.svd(tau, compute_uv=False)
+        return np.linalg.svd(tau, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceFailure(str(exc)) from exc
+
+
+def _root_tau(x):
+    """tau = X^T (sy x sy) X of a root X, or of a (..., 4, 4) stack of roots."""
+    return np.swapaxes(x, -1, -2) @ (_YY_SIGNS * x[..., ::-1, :])
 
 
 def lambdas(x):
     """Descending lambda spectrum of a root X, the singular values of tau.
 
     Serves single states; a (..., 4, 4) stack of roots works too. Solved by
-    :func:`_svd_values`, as are the batched kernel's chunks of fewer than
+    :func:`_svd`, as are the batched kernel's chunks of fewer than
     ``JACOBI_MIN_POINTS`` points; longer chunks go to
     :func:`tau_singular_values`.
     """
-    tau = np.swapaxes(x, -1, -2) @ (_YY_SIGNS * x[..., ::-1, :])
-    return _svd_values(tau)
+    return _svd(_root_tau(x))
 
 
 def concurrence_from_lambdas(lam):
@@ -198,15 +232,14 @@ def _filters(s, v):
     return f
 
 
-def _filtered_roots(x, a, n, b, m):
-    """(4, 4, N) roots (A x B) X of the filtered states, X as (2, 2, 4).
+def _filtered_roots(x, fa, fb):
+    """(4, 4, N) roots (A x B) X of the filtered states, X as (2, 2, 4) and
+    the filters as (2, 2, N) stacks from :func:`_filters`.
 
     The filters are Hermitian, so (A x B) X is a root of the transformed
     state. X's rows are (Alice, Bob) index pairs, so B acts on axis 1 and
     A on axis 0 of the (2, 2, 4, N) product.
     """
-    fa = _filters(a, n)
-    fb = _filters(b, m)
     y = x[:, None, 0, :, None] * fb[:, 0, None] + x[:, None, 1, :, None] * fb[:, 1, None]
     return (fa[:, 0, None, None] * y[0] + fa[:, 1, None, None] * y[1]).reshape(4, 4, -1)
 
@@ -242,7 +275,7 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def filter_gain_batch(rho, c_in, a, n, b, m, tol_prob=1e-14):
+def filter_gain_batch(rho, c_in, a, n, b, m, tol_prob=TOL_PROB):
     """Concurrence gain and success probability for a batch of filter pairs.
 
     ``a`` and ``b`` hold N strengths, ``n`` and ``m`` N axes as (N, 3)
@@ -253,12 +286,14 @@ def filter_gain_batch(rho, c_in, a, n, b, m, tol_prob=1e-14):
     probability falls at or below ``tol_prob`` get gain -inf (the branch
     filters out).
 
-    Each chunk is held batch-last. Both filters are built elementwise as
-    (2, 2, N) stacks, the filtered root (A x B) X as (1 x B) then (A x 1)
-    broadcast products over X reshaped to (2, 2, 4), the branch probability
-    as its squared norm, and tau as a (4, 4, N) stack. A chunk of at least
-    ``JACOBI_MIN_POINTS`` points takes tau's singular values from
-    :func:`tau_singular_values`, a shorter one from :func:`_svd_values` on
+    The grid and random stages' entry; the refinement uses
+    :func:`filter_gain_gradient`. X is :func:`gain_root`'s root, computed
+    once per call. Each chunk is held batch-last. Both filters are built
+    elementwise as (2, 2, N) stacks, the filtered root (A x B) X as (1 x B)
+    then (A x 1) broadcast products over X reshaped to (2, 2, 4), the branch
+    probability as its squared norm, and tau as a (4, 4, N) stack. A chunk
+    of at least ``JACOBI_MIN_POINTS`` points takes tau's singular values
+    from :func:`tau_singular_values`, a shorter one from :func:`_svd` on
     the (N, 4, 4) view of the same stack. The choice rests on the chunk's
     length, not on how many of its points pass ``tol_prob``, so a point's
     result depends only on the point and its chunk's length. The clamp
@@ -278,13 +313,13 @@ def filter_gain_batch(rho, c_in, a, n, b, m, tol_prob=1e-14):
         raise ValueError("parameter arrays must share their leading dimension")
     if n.shape[1:] != (3,) or m.shape[1:] != (3,):
         raise ValueError("axis arrays must have shape (N, 3)")
-    x = state_root(rho).reshape(2, 2, 4)
+    x = gain_root(rho).reshape(2, 2, 4)
     gains = np.empty(len(a))
     t = np.empty(len(a))
 
     def run(lo):
         s = slice(lo, lo + CHUNK)
-        z = _filtered_roots(x, a[s], n[s], b[s], m[s])
+        z = _filtered_roots(x, _filters(a[s], n[s]), _filters(b[s], m[s]))
         tc = t[s]
         tc[:] = _squared_norms(z)
         gc = gains[s]
@@ -294,7 +329,7 @@ def filter_gain_batch(rho, c_in, a, n, b, m, tol_prob=1e-14):
             tau = _tau(z if ok.all() else z[:, :, ok])
             del z  # the solve does not need the roots; keeps peak memory down
             if len(tc) < JACOBI_MIN_POINTS:
-                sv = _svd_values(np.moveaxis(tau, -1, 0))
+                sv = _svd(np.moveaxis(tau, -1, 0))
             else:
                 sv = tau_singular_values(tau)
             gc[ok] = concurrence_from_lambdas(sv / tc[ok, None]) - c_in
@@ -314,7 +349,56 @@ def filter_gain_batch(rho, c_in, a, n, b, m, tol_prob=1e-14):
     return gains, t
 
 
-def filter_gain_single(rho, c_in, a, n, b, m, tol_prob=1e-14):
+def filter_gain_gradient(x, c_in, a, n, b, m):
+    """Gains, probabilities and exact gain gradients for a refine-sized batch.
+
+    ``x`` is a (4, 4) root of the input state, normally :func:`gain_root`'s,
+    prepared once per search; ``a``, ``n``, ``b`` and ``m`` are as in
+    :func:`filter_gain_batch`, unchecked. Gains and t come as there, except
+    that the whole batch is one LAPACK ``svd`` with vectors. The third
+    result is the (N, 6) gradient of each gain with respect to Alice's and
+    then Bob's Cartesian filter vector v = strength * axis: the filter is
+    proportional to 1 + v.sigma, and the scale cancels. A point with t at or
+    below ``TOL_PROB`` filters out: it gets gain -inf and a NaN gradient; where the clamp policy sets the
+    concurrence to 0 or 1, the gradient is 0.
+
+    With Z = (A x B) X, t = |Z|^2, tau = Z^T S Z = U Sigma V+ (S = sy x sy),
+    s = (1, -1, -1, -1), P = V diag(s) U+ and C = sum s_i sigma_i, the gain
+    C/t - c_in has differential Re tr(R dZ), where
+
+        R = (P + P^T) Z^T S / t - 2 C Z+ / t^2.
+
+    With K = X R, Alice's component is Re tr(M_A sigma_k) / (1 + a), where
+    M_A[a, a'] = sum_{b, b'} K[(a b), (a' b')] B[b', b], and Bob's is built
+    the same way. P sums over the degenerate cluster sigma_2..sigma_4, so it
+    needs no special case there; singular vectors of a rank-deficient tau
+    lie in Z's null space and contribute zero.
+    """
+    fa, fb = _filters(a, n), _filters(b, m)
+    z = _filtered_roots(x.reshape(2, 2, 4), fa, fb)
+    t = _squared_norms(z)
+    ok = t > TOL_PROB
+    ts = np.where(ok, t, 1.0)
+    zf = z.transpose(2, 0, 1)
+    u, sv, vh = _svd(_tau(z).transpose(2, 0, 1), compute_uv=True)
+    c = concurrence_from_lambdas(sv / ts[:, None])
+    cnum = sv[:, 0] - sv[:, 1] - sv[:, 2] - sv[:, 3]
+    # P + P^T = conj(Q + Q^T) for Q = U diag(s) V+ = P+, and Z^T S = (S Z)^T
+    q = (u * _CONC_SIGNS) @ vh
+    r = (q + q.swapaxes(1, 2)).conj() @ (_YY_SIGNS * zf[:, ::-1]).swapaxes(1, 2)
+    r /= ts[:, None, None]
+    r -= (2.0 * cnum / ts**2)[:, None, None] * zf.conj().swapaxes(1, 2)
+    k = (x @ r).reshape(-1, 2, 2, 2, 2)  # K[(a b), (a' b')]
+    grad = np.concatenate([
+        np.einsum("nabcd,dbn,kca->nk", k, fb, _PAULI).real / (1.0 + a)[:, None],
+        np.einsum("nabcd,can,kdb->nk", k, fa, _PAULI).real / (1.0 + b)[:, None],
+    ], axis=1)
+    grad[(c <= 0.0) | (c >= 1.0)] = 0.0
+    grad[~ok] = np.nan
+    return np.where(ok, c - c_in, -np.inf), t, grad
+
+
+def filter_gain_single(rho, c_in, a, n, b, m, tol_prob=TOL_PROB):
     """Single-point version of :func:`filter_gain_batch`.
 
     No package code calls it (the search sends every point through the

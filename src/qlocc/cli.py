@@ -47,6 +47,8 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_VIOLATION = 3
+# the most fidelities one `qlocc sweep` grid may hold
+MAX_SWEEP_FIDELITIES = 10_000
 
 
 class _UsageError(Exception):
@@ -98,9 +100,12 @@ def _state_from_args(args):
         except ValueError as exc:
             raise _UsageError(f"--bell expects four comma-separated numbers: {exc}") from exc
         return make_bell_diagonal(p), {"bell": p}
-    with open(args.state, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return density_matrix_from_dict(doc), {"state": args.state}
+    try:
+        with open(args.state, encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UsageError(f"cannot read --state file {args.state!r}: {exc}") from exc
+    return density_matrix_from_dict(json.loads(text)), {"state": args.state}
 
 
 def _emit_json(doc: dict, out_path):
@@ -171,7 +176,12 @@ def cmd_sweep(args) -> int:
                 raise DomainError(f"--{flag} must be finite, got {value!r}")
         if args.f_step <= 0 or args.f_max < args.f_min:
             raise DomainError("empty sweep grid: need f-step > 0 and f-max >= f-min")
-        count = int(round((args.f_max - args.f_min) / args.f_step)) + 1
+        # the grid holds round(steps) + 1 fidelities; steps may overflow to inf
+        steps = (args.f_max - args.f_min) / args.f_step
+        if steps >= MAX_SWEEP_FIDELITIES - 0.5:
+            raise DomainError(f"the sweep grid would hold more than {MAX_SWEEP_FIDELITIES} "
+                              "fidelities; raise --f-step")
+        count = int(round(steps)) + 1
         fs = [args.f_min + i * args.f_step for i in range(count)]
     if not fs:
         raise DomainError("empty sweep grid")
@@ -203,8 +213,11 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("nogo", help="search for a concurrence gain; write a certificate")
     _add_state_flags(p)
-    p.add_argument("--restarts", type=int, default=64, help="random parameter draws")
-    p.add_argument("--grid-density", type=int, default=4, help="grid points per parameter")
+    p.add_argument("--restarts", type=int, default=64,
+                   help=f"random parameter draws, at most {nogo.MAX_STAGE_POINTS}")
+    p.add_argument("--grid-density", type=int, default=4,
+                   help="grid points per parameter; the grid's grid_density**6 points "
+                        f"may not exceed {nogo.MAX_STAGE_POINTS}")
     p.add_argument("--local-steps", type=int, default=400,
                    help="iteration cap per quasi-Newton refinement")
     p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
@@ -216,11 +229,13 @@ def build_parser() -> _Parser:
     p = sub.add_parser("sweep", help="Werner scale-factor bound and probability floor as CSV")
     p.add_argument("--f-min", type=float, default=0.55)
     p.add_argument("--f-max", type=float, default=0.95)
-    p.add_argument("--f-step", type=float, default=0.1)
+    p.add_argument("--f-step", type=float, default=0.1,
+                   help=f"grid step; the grid may hold at most {MAX_SWEEP_FIDELITIES} fidelities")
     p.add_argument("--f-list", metavar="F1,F2,...",
                    help="explicit fidelities; overrides the min/max/step grid")
     p.add_argument("--grid-density", type=int, default=64,
-                   help="points per parameter of the (a, b, n.m) grid")
+                   help="points per parameter of the (a, b, n.m) grid, "
+                        f"at most {nogo.MAX_SCALE_GRID_DENSITY}")
     p.add_argument("--out", metavar="PATH", help="write CSV here (manifest as sidecar)")
     p.set_defaults(func=cmd_sweep)
 

@@ -2,9 +2,12 @@
 increase the entanglement of Werner or Bell-diagonal states.
 
 The search maximizes the concurrence gain over both parties' filter
-strengths and axes: a coarse grid and uniform random draws, then lockstep
-quasi-Newton refinements of the best candidates, each step of which sends
-its points through one batched kernel call. Unitary factors are omitted:
+strengths and axes: a coarse grid and uniform random draws through the
+batched kernel, then lockstep quasi-Newton refinements of the best
+candidates. Each refinement step is one call of the gradient kernel on the
+trial points of every active start; it returns their gains with exact
+gradients in the Cartesian filter vectors v = a n, which the search maps to
+its (logit strength, theta, phi) chart. Unitary factors are omitted:
 the filtering transformation law is manifestly unitary-independent, which
 the test suite checks separately. Filter scales are pinned to their maxima
 1/(1+a) and 1/(1+b); they cancel between the transformed state and its
@@ -48,12 +51,19 @@ from qlocc.states import (
 
 _REFINE_TOP = 6
 _U_RANGE = 8.0  # random draws of the stretched strength coordinate
-# quasi-Newton refinement: central-difference step, trial step lengths
-# along each direction, and the rounding-level stop thresholds
-_H = 1e-7
+# quasi-Newton refinement: trial step lengths along each direction, and the
+# rounding-level stop thresholds
 _ALPHAS = 0.25 ** np.arange(5)
 _IMPROVE_TOL = 1e-15
 _GRAD_TOL = 1e-10
+# The most points one search stage may hold: the grid's grid_density**6
+# (so grid_density <= 12) and the random stage's restarts. A stage takes
+# about 130 bytes per point, so both stages at this size stay near 1 GB and
+# run under a 2 GB `ulimit -v` (measured on a 2-CPU machine).
+MAX_STAGE_POINTS = 4_000_000
+# the largest grid_density of scale_factor_grid: 200**3 points take about
+# 0.5 GB at its peak, again within a 2 GB `ulimit -v`
+MAX_SCALE_GRID_DENSITY = 200
 
 
 @dataclass(frozen=True)
@@ -63,8 +73,10 @@ class SearchConfig:
     ``restarts`` counts uniform random parameter draws; ``grid_density``
     sets the points per parameter of the coarse 6-dimensional grid;
     ``local_steps`` caps the iterations per quasi-Newton refinement. The
-    three budgets must be positive integers (not bools). All randomness
-    flows from ``seed``.
+    three budgets must be positive integers (not bools), and neither
+    ``restarts`` nor ``grid_density**6`` may exceed ``MAX_STAGE_POINTS``
+    (4,000,000), checked before anything is allocated. All randomness flows
+    from ``seed``.
     """
 
     restarts: int = 64
@@ -78,13 +90,23 @@ class SearchConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise DomainError(f"{name} must be a positive integer, got {value!r}")
+        for name, points in (("grid_density**6", int(self.grid_density) ** 6),
+                             ("restarts", int(self.restarts))):
+            if points > MAX_STAGE_POINTS:
+                raise DomainError(f"{name} = {points} exceeds the {MAX_STAGE_POINTS} points "
+                                  "one search stage may hold")
         if not 0.0 < self.tolerance < math.inf:
             raise DomainError("tolerance must be positive and finite")
 
 
 @dataclass(frozen=True, eq=False)
 class Certificate:
-    """Best concurrence gain found by an exhaustive seeded search."""
+    """Best concurrence gain found by an exhaustive seeded search.
+
+    ``evaluations`` counts the filter pairs whose gain the search computed:
+    the grid, the random draws and every refinement point. A refinement
+    point's gain comes with its exact gradient, at no extra evaluation.
+    """
 
     input_state: DensityMatrix
     config: SearchConfig
@@ -137,7 +159,7 @@ def _random_params(rng: np.random.Generator, count: int):
 
 def _axes_from_angles(theta, phi):
     st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=1)
+    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
 
 
 def _top_indices(g, k):
@@ -152,6 +174,24 @@ def _top_indices(g, k):
     else:
         cand = np.arange(len(g))
     return cand[np.argsort(-g[cand], kind="stable")[:k]]
+
+
+def _chart_gradient(y, a, g):
+    """Gradients in the parties' charts from those in their filter vectors.
+
+    ``y`` holds (logit strength u, theta, phi) on its last axis, ``a`` the
+    strengths sigmoid(u), and ``g`` the gradients with respect to the filter
+    vectors v = a n(theta, phi). The results are a (1 - a) n.g (computed as
+    e / (1 + e)^2 with e = exp(-|u|), which keeps its precision at both ends
+    of the strength range), a dn/dtheta.g and a dn/dphi.g.
+    """
+    e = np.exp(-np.abs(y[..., 0]))
+    st, ct = np.sin(y[..., 1]), np.cos(y[..., 1])
+    sp, cp = np.sin(y[..., 2]), np.cos(y[..., 2])
+    gr = g[..., 0] * cp + g[..., 1] * sp  # the component along (cos phi, sin phi, 0)
+    return np.stack([e / (1.0 + e) ** 2 * (st * gr + ct * g[..., 2]),
+                     a * (ct * gr - st * g[..., 2]),
+                     a * st * (g[..., 1] * cp - g[..., 0] * sp)], axis=-1)
 
 
 def _sigmoid(x):
@@ -174,31 +214,25 @@ def _quasi_newton(f, x0, max_iter):
     """Minimize from each row of ``x0`` by inverse BFGS (Nocedal and Wright,
     Numerical Optimization, Sec. 6.1), all starts in lockstep.
 
-    ``f`` maps a (k, d) array of points to k values. Gradients are central
-    differences with step ``_H``. The first call evaluates every start and
-    its 2d gradient points. Each iteration then makes at most two calls: the
-    ``_ALPHAS`` trial steps along every active start's direction -H g, and
-    the gradient points at each start's best improving trial. A start whose
-    trials all fail to improve it by more than ``_IMPROVE_TOL`` retries once
-    along -g with H reset to the identity; failing again, or reaching a
-    gradient with max|g| <= ``_GRAD_TOL``, it has converged. A start also
-    stops after ``max_iter`` iterations, or (unconverged) at a non-finite
-    gradient. So a start uses at most 1 + max_iter (2d + len(_ALPHAS))
-    evaluations.
+    ``f`` maps a (k, d) array of points to their k values and their (k, d)
+    gradients. The first call evaluates every start. Each iteration then
+    makes one call, on the ``_ALPHAS`` trial steps along every active
+    start's direction -H g, and the gradient at each start's best improving
+    trial comes back with it. A start whose trials all fail to improve it by
+    more than ``_IMPROVE_TOL`` retries once along -g with H reset to the
+    identity; failing again, or reaching a gradient with
+    max|g| <= ``_GRAD_TOL``, it has converged. A start also stops after
+    ``max_iter`` iterations, or (unconverged) at a non-finite gradient. So a
+    start uses at most 1 + max_iter len(_ALPHAS) evaluations, and a call
+    holds at most k len(_ALPHAS) points.
     """
     k, d = x0.shape
-    offsets = _H * np.concatenate([np.eye(d), -np.eye(d)])
-
-    def gradients(vals):
-        v = vals.reshape(-1, 2, d)
-        return (v[:, 0] - v[:, 1]) / (2.0 * _H)
-
-    first = f(np.concatenate([x0, (x0[:, None] + offsets).reshape(-1, d)]))
-    x, fx, g = x0.copy(), first[:k], gradients(first[k:])
+    x = x0.copy()
+    fx, g = f(x)
     hess_inv = np.repeat(np.eye(d)[None], k, axis=0)
     fresh = np.ones(k, dtype=bool)  # hess_inv is the identity
     iterations = np.zeros(k, dtype=int)
-    evaluations = np.full(k, 1 + 2 * d)
+    evaluations = np.ones(k, dtype=int)
     finite = np.isfinite(g).all(axis=1)
     converged = finite & (np.abs(g).max(axis=1) <= _GRAD_TOL)
     active = finite & ~converged
@@ -208,7 +242,8 @@ def _quasi_newton(f, x0, max_iter):
             return _Refinement(x, fx, iterations, converged, evaluations)
         p = -np.einsum("kij,kj->ki", hess_inv[act], g[act])
         trial = x[act, None] + _ALPHAS[:, None] * p[:, None]
-        ft = f(trial.reshape(-1, d)).reshape(act.size, -1)
+        ft, gt = f(trial.reshape(-1, d))
+        ft, gt = ft.reshape(act.size, -1), gt.reshape(act.size, -1, d)
         iterations[act] += 1
         evaluations[act] += len(_ALPHAS)
         j = np.argmin(ft, axis=1)
@@ -220,15 +255,11 @@ def _quasi_newton(f, x0, max_iter):
         retry = failed[~fresh[failed]]
         hess_inv[retry], fresh[retry] = np.eye(d), True
         moved = act[ok]
-        s = trial[ok, j[ok]] - x[moved]
-        x[moved], fx[moved] = trial[ok, j[ok]], f_new[ok]
-        # a start at its iteration cap ends here and needs no gradient
-        keep = iterations[moved] < max_iter
-        moved, s = moved[keep], s[keep]
         if moved.size == 0:
             continue
-        g_new = gradients(f((x[moved, None] + offsets).reshape(-1, d)))
-        evaluations[moved] += 2 * d
+        s = trial[ok, j[ok]] - x[moved]
+        g_new = gt[ok, j[ok]]
+        x[moved], fx[moved] = trial[ok, j[ok]], f_new[ok]
         y = g_new - g[moved]
         g[moved] = g_new
         finite = np.isfinite(g_new).all(axis=1)
@@ -257,7 +288,9 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     grid (``grid_density`` points per parameter), ``restarts`` uniform
     random draws, and quasi-Newton refinements of the best candidates, at
     most ``local_steps`` iterations each, in stretched coordinates that
-    resolve the strength boundaries. The objective is the directly
+    resolve the strength boundaries. The root of rho that the refinement's
+    kernel calls share (:func:`~qlocc._kernels.gain_root`) and the input
+    concurrence are computed once per search. The objective is the directly
     computed concurrence of the filtered state minus the input
     concurrence; no transformation-law shortcut is used, so the
     certificate is independent of the law it corroborates.
@@ -274,16 +307,19 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     best = {"gain": -np.inf, "a": 0.0, "n": np.array([0.0, 0.0, 1.0]),
             "b": 0.0, "m": np.array([0.0, 0.0, 1.0]), "t": 1.0}
 
-    def _consume(a_arr, th_n, ph_n, b_arr, th_m, ph_m):
+    def _record(gains, ts, a_arr, n_arr, b_arr, m_arr):
         nonlocal evaluations
-        n_arr = _axes_from_angles(th_n, ph_n)
-        m_arr = _axes_from_angles(th_m, ph_m)
-        gains, ts = _kernels.filter_gain_batch(rho.mat, c_in, a_arr, n_arr, b_arr, m_arr)
         evaluations += len(gains)
         k = int(np.argmax(gains))
         if gains[k] > best["gain"]:
             best.update(gain=float(gains[k]), a=float(a_arr[k]), n=n_arr[k].copy(),
                         b=float(b_arr[k]), m=m_arr[k].copy(), t=float(ts[k]))
+
+    def _consume(a_arr, th_n, ph_n, b_arr, th_m, ph_m):
+        n_arr = _axes_from_angles(th_n, ph_n)
+        m_arr = _axes_from_angles(th_m, ph_m)
+        gains, ts = _kernels.filter_gain_batch(rho.mat, c_in, a_arr, n_arr, b_arr, m_arr)
+        _record(gains, ts, a_arr, n_arr, b_arr, m_arr)
         return gains
 
     grid = _grid_params(cfg.grid_density)
@@ -297,10 +333,17 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     ng = len(grid_gains)
     x0 = np.array([[p[i] for p in grid] if i < ng else [p[i - ng] for p in rand] for i in top])
     x0[:, [0, 3]] = _logit(x0[:, [0, 3]])
+    # the refinement's root, prepared once: its calls pay no eigh or svd of rho
+    root = _kernels.gain_root(rho.mat)
 
     def neg_gains(x):
-        a, b = _sigmoid(x[:, [0, 3]]).T
-        return -_consume(a, x[:, 1], x[:, 2], b, x[:, 4], x[:, 5])
+        y = x.reshape(-1, 2, 3)  # (logit strength, theta, phi) of each party
+        s = _sigmoid(y[..., 0])
+        axes = _axes_from_angles(y[..., 1], y[..., 2])
+        a, n_arr, b, m_arr = s[:, 0], axes[:, 0], s[:, 1], axes[:, 1]
+        gains, ts, grad = _kernels.filter_gain_gradient(root, c_in, a, n_arr, b, m_arr)
+        _record(gains, ts, a, n_arr, b, m_arr)
+        return -gains, -_chart_gradient(y, s, grad.reshape(-1, 2, 3)).reshape(-1, 6)
 
     _quasi_newton(neg_gains, x0, cfg.local_steps)
 
@@ -369,12 +412,17 @@ class ScaleFactorRow:
 
 
 def scale_factor_grid(F: float, grid_density: int = 100) -> ScaleFactorRow:
-    """Grid evaluation of the Werner scale factor with worst-case bookkeeping."""
+    """Grid evaluation of the Werner scale factor with worst-case bookkeeping.
+
+    The grid holds grid_density**3 points; ``grid_density`` must lie in
+    [2, ``MAX_SCALE_GRID_DENSITY``] (200), checked before it is built.
+    """
     F = float(F)
     if not 0.5 < F <= 1.0:
         raise DomainError(f"Werner fidelity F={F} must lie in (1/2, 1]")
-    if grid_density < 2:
-        raise DomainError("grid_density must be at least 2")
+    if not 2 <= grid_density <= MAX_SCALE_GRID_DENSITY:
+        raise DomainError(f"grid_density must lie in [2, {MAX_SCALE_GRID_DENSITY}], "
+                          f"got {grid_density}")
     vals = np.linspace(0.0, 1.0, grid_density)
     u = np.linspace(-1.0, 1.0, grid_density)
     A, B, U = np.meshgrid(vals, vals, u, indexing="ij")

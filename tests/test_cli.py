@@ -1,6 +1,7 @@
 import json
 
 import numpy as np
+import pytest
 
 import qlocc
 from qlocc import _kernels, cli, nogo
@@ -80,6 +81,19 @@ def test_measure_invalid_state_file(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["directory", "not-utf-8"])
+def test_unreadable_state_file_is_usage_error(kind, tmp_path, capsys):
+    path = tmp_path / "state.json"
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b'{"matrix": "\xff\xfe"}')
+    code, out, err = _run(capsys, ["measure", "--state", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot read --state file")
+
+
 def test_missing_state_flag_is_usage_error(capsys):
     code, _, _ = _run(capsys, ["measure"])
     assert code == 1
@@ -119,6 +133,15 @@ def test_nogo_jacobi_sweep_cap_is_validation_error(capsys, monkeypatch):
     code, _, err = _run(capsys, ["nogo", "--werner", "0.8", "--restarts", "64"])
     assert code == 2
     assert "sweeps" in err
+
+
+def test_nogo_budget_beyond_stage_cap_is_usage_error(capsys):
+    # rejected before the grid or the random draws are allocated
+    for argv in (["--grid-density", "100"], ["--restarts", "3000000000"]):
+        code, out, err = _run(capsys, ["nogo", "--werner", "0.8", *argv])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "search stage" in err
 
 
 def test_nogo_unentangled_input(capsys):
@@ -179,6 +202,22 @@ def test_sweep_non_finite_bounds_are_usage_errors(capsys):
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and flag in err
+
+
+def test_sweep_beyond_its_caps_is_usage_error(capsys):
+    # 4e8 fidelities, and a 1e15-point scale-factor grid: rejected before
+    # either is built
+    for argv in (["--f-step", "1e-9", "--grid-density", "8"], ["--f-step", "5e-324"],
+                 ["--f-list", "0.8", "--grid-density", "100000"]):
+        code, out, err = _run(capsys, ["sweep", *argv])
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+    # the cap itself is accepted: 0.55..0.95 in MAX_SWEEP_FIDELITIES rows
+    step = str(0.4 / (cli.MAX_SWEEP_FIDELITIES - 1))
+    code, out, _ = _run(capsys, ["sweep", "--f-step", step, "--grid-density", "2"])
+    assert code == 0
+    assert len(out.strip().split("\n")) == 1 + cli.MAX_SWEEP_FIDELITIES
 
 
 def test_sweep_out_writes_manifest_sidecar(tmp_path, capsys):

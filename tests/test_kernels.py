@@ -169,6 +169,83 @@ def test_jacobi_zero_columns_give_zeros():
     np.testing.assert_allclose(sv[2], [np.sqrt(2), np.sqrt(2), 0, 0], rtol=1e-15)
 
 
+def test_gain_root_has_column_orthogonal_tau(rng):
+    # X W is a root of rho within a few eps, and tau(X W) = (V^T U) Sigma
+    # has orthogonal columns whose norms are tau's singular values
+    for case in JACOBI_CASES:
+        for _ in range(4):
+            rho = JACOBI_CASES[case](rng)
+            xw = _kernels.gain_root(rho)
+            assert np.abs(xw @ xw.conj().T - rho).max() <= 8 * _kernels._EPS
+            tau = _kernels._root_tau(xw)
+            gram = tau.conj().T @ tau
+            sv = _kernels.lambdas(_kernels.state_root(rho))
+            np.testing.assert_allclose(np.sqrt(np.diag(gram).real), sv, rtol=0, atol=8 * _kernels._EPS)
+            off = gram - np.diag(np.diag(gram))
+            assert np.abs(off).max() <= 8 * _kernels._EPS * sv[0] ** 2
+
+
+def test_random_state_chunk_takes_two_sweeps(rng, monkeypatch):
+    # the gain root hands the Jacobi solver taus that are column-orthogonal
+    # up to rounding: one sweep with rotations, one without (an eigh root
+    # takes four or five on these draws)
+    monkeypatch.setattr(_kernels, "JACOBI_MAX_SWEEPS", 2)
+    for _ in range(3):
+        rho = states.random_density_matrix(rng).mat
+        gains, _ = _kernels.filter_gain_batch(rho, 0.0, *_random_batch(rng, _kernels.CHUNK))
+        assert np.isfinite(gains).all()
+
+
+def _entangled_random(rng):
+    while True:
+        rho = states.random_density_matrix(rng).mat
+        if _kernels.concurrence4(rho) > 0.05:
+            return rho
+
+
+GRADIENT_CASES = {
+    "werner": lambda rng: states.make_werner(0.55 + 0.45 * rng.random()).mat,
+    "bell-diagonal": lambda rng: states.random_entangled_bell_diagonal(rng).mat,
+    "random": _entangled_random,
+    "singlet-uu": JACOBI_CASES["singlet-uu"],
+}
+# central differences of the gain in the Cartesian filter vectors, and the
+# bound on their distance to the exact gradient: measured at most 3.0e-10
+# over these cases (rounding of about eps C / H dominates)
+GRADIENT_H = 1e-6
+GRADIENT_TOL = 1e-9
+
+
+@pytest.mark.parametrize("case", list(GRADIENT_CASES))
+@pytest.mark.parametrize("max_strength", [0.98, 0.999])
+def test_gain_gradient_matches_central_differences(case, max_strength, rng):
+    # Werner and Bell-diagonal taus have degenerate singular values, the
+    # rank-2 state a rank-deficient tau; the differences are taken through
+    # filter_gain_batch, whose values do not share the gradient's svd
+    n = 40
+    off = GRADIENT_H * np.concatenate([np.eye(6), -np.eye(6)]).reshape(12, 2, 3)
+    for _ in range(3):
+        rho = GRADIENT_CASES[case](rng)
+        c_in = _kernels.concurrence4(rho)
+        v = rng.standard_normal((n, 2, 3))
+        v *= (max_strength * rng.random((n, 2)) / np.linalg.norm(v, axis=2))[..., None]
+        s = np.linalg.norm(v, axis=2)
+        u = v / s[..., None]
+        gains, ts, grad = _kernels.filter_gain_gradient(
+            _kernels.gain_root(rho), c_in, s[:, 0], u[:, 0], s[:, 1], u[:, 1])
+        g_batch, t_batch = _kernels.filter_gain_batch(rho, c_in, s[:, 0], u[:, 0], s[:, 1], u[:, 1])
+        assert np.array_equal(ts, t_batch)
+        assert np.all(np.abs(gains - g_batch) <= 8 * _kernels._EPS)
+        w = (v[:, None] + off).reshape(-1, 2, 3)
+        sw = np.linalg.norm(w, axis=2)
+        gw, _ = _kernels.filter_gain_batch(rho, c_in, sw[:, 0], w[:, 0] / sw[:, :1],
+                                           sw[:, 1], w[:, 1] / sw[:, 1:])
+        gw = gw.reshape(n, 2, 6)
+        central = (gw[:, 0] - gw[:, 1]) / (2 * GRADIENT_H)
+        assert grad.shape == (n, 6)
+        assert np.abs(grad - central).max() <= GRADIENT_TOL
+
+
 def test_jacobi_sweep_cap_raises(rng, monkeypatch):
     # the shortest chunk that the Jacobi solver takes
     monkeypatch.setattr(_kernels, "JACOBI_MAX_SWEEPS", 1)
@@ -182,9 +259,14 @@ def test_lapack_failure_is_convergence_failure(rng, monkeypatch):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     rho = states.random_density_matrix(rng)
+    root = _kernels.gain_root(rho.mat)
     monkeypatch.setattr(np.linalg, "svd", fail)
     with pytest.raises(ConvergenceFailure, match="did not converge"):
         _kernels.filter_gain_batch(rho.mat, 0.1, *_random_batch(rng, 6))
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        _kernels.gain_root(rho.mat)
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        _kernels.filter_gain_gradient(root, 0.1, *_random_batch(rng, 6))
     with pytest.raises(ConvergenceFailure, match="did not converge"):
         concurrence(rho)
 
@@ -266,6 +348,13 @@ def test_filtered_out_gain_is_minus_inf(impl):
     )
     assert gains[0] == -np.inf
     assert ts[0] <= 1e-14
+    gains, ts, grad = impl.filter_gain_gradient(
+        impl.gain_root(up_up), 0.0, np.array([1.0, 0.5]), np.array([[0.0, 0.0, -1.0]] * 2),
+        np.array([0.0, 0.5]), np.array([[0.0, 0.0, 1.0]] * 2)
+    )
+    assert gains[0] == -np.inf and np.isnan(grad[0]).all()
+    # a product state keeps concurrence 0, which the clamp holds flat
+    assert gains[1] == 0.0 and np.all(grad[1] == 0.0)
 
 
 @ON_BACKEND

@@ -56,10 +56,10 @@ def test_certificate_reproducible_bitwise():
 def test_certificate_counts_evaluations():
     cert = maximize_concurrence_gain(make_werner(0.8), SMALL)
     assert cert.evaluations >= SMALL.grid_density**6 + SMALL.restarts
-    # each refinement: its start, then per iteration the trial steps and
-    # the 12 central-difference gradient points
+    # each refinement: its start, then per iteration the trial steps, which
+    # carry their gradients
     assert cert.evaluations <= (SMALL.grid_density**6 + SMALL.restarts
-                                + _REFINE_TOP * (1 + SMALL.local_steps * (12 + len(_ALPHAS))))
+                                + _REFINE_TOP * (1 + SMALL.local_steps * len(_ALPHAS)))
 
 
 @pytest.mark.parametrize("size", [1, 5, 6, 7, 40, 3000])
@@ -86,10 +86,15 @@ def _smooth_6d(x):
     return np.einsum("ki,ij,kj->k", y, HESS_6D, y) + (y**4).sum(axis=1)
 
 
+def _smooth_6d_with_gradient(x):
+    y = x - MIN_6D
+    return _smooth_6d(x), 2.0 * y @ HESS_6D + 4.0 * y**3
+
+
 def test_quasi_newton_reaches_minimum_like_scipy_bfgs():
     from scipy.optimize import minimize
 
-    res = _quasi_newton(_smooth_6d, STARTS_6D, 200)
+    res = _quasi_newton(_smooth_6d_with_gradient, STARTS_6D, 200)
     assert res.converged.all()
     assert np.all(res.iterations < 200)
     for i, x0 in enumerate(STARTS_6D):
@@ -101,16 +106,17 @@ def test_quasi_newton_reaches_minimum_like_scipy_bfgs():
 
 
 def test_quasi_newton_iteration_cap_per_start():
-    per_iteration = 12 + len(_ALPHAS)
+    # each iteration is one call on the trial steps, which carry their gradients
     for cap in (1, 2, 5, 9):
         calls = []
-        res = _quasi_newton(lambda x: calls.append(len(x)) or _smooth_6d(x), STARTS_6D, cap)
+        res = _quasi_newton(lambda x: calls.append(len(x)) or _smooth_6d_with_gradient(x),
+                            STARTS_6D, cap)
         assert sum(calls) == res.evaluations.sum()
+        assert len(calls) == 1 + cap
         assert np.all(res.iterations == cap)  # none converges this early
         assert not res.converged.any()
-        assert np.all(res.evaluations <= 1 + cap * per_iteration)
-        # batches stay small enough for the kernel's inline path
-        assert max(calls) <= len(STARTS_6D) * 13
+        assert np.all(res.evaluations == 1 + cap * len(_ALPHAS))
+        assert max(calls) <= len(STARTS_6D) * len(_ALPHAS)
 
 
 def test_bell_diagonal_refinements_converge(rng, monkeypatch):
@@ -220,6 +226,14 @@ def test_search_config_validation():
         with pytest.raises(DomainError):
             SearchConfig(**bad)
     assert SearchConfig(restarts=np.int64(5)).restarts == 5
+    # stage sizes are checked before anything is allocated; int64 powers
+    # must not wrap
+    cap = nogo.MAX_STAGE_POINTS
+    assert SearchConfig(restarts=cap, grid_density=12).restarts == cap
+    for bad in (dict(grid_density=13), dict(grid_density=100), dict(restarts=cap + 1),
+                dict(restarts=3_000_000_000), dict(grid_density=np.int64(2**11))):
+        with pytest.raises(DomainError, match="search stage"):
+            SearchConfig(**bad)
     with pytest.raises(DomainError):
         SearchConfig(tolerance=0.0)
     for bad in (math.nan, math.inf):
@@ -254,6 +268,8 @@ def test_scale_factor_domain():
         scale_factor_bound_check(0.5)
     with pytest.raises(DomainError):
         scale_factor_grid(0.75, grid_density=1)
+    with pytest.raises(DomainError):
+        scale_factor_grid(0.75, grid_density=nogo.MAX_SCALE_GRID_DENSITY + 1)
 
 
 def test_sweep_row_fields():
