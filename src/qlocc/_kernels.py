@@ -275,7 +275,7 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def filter_gain_batch(rho, c_in, a, n, b, m, tol_prob=TOL_PROB):
+def filter_gain_batch(rho, c_in, a, n, b, m):
     """Concurrence gain and success probability for a batch of filter pairs.
 
     ``a`` and ``b`` hold N strengths, ``n`` and ``m`` N axes as (N, 3)
@@ -283,7 +283,7 @@ def filter_gain_batch(rho, c_in, a, n, b, m, tol_prob=TOL_PROB):
     raise ``ValueError``. The scale of each filter is pinned to its maximum
     1/(1+strength); it cancels between the transformed state and its
     normalization, so the gain does not depend on it. Entries whose branch
-    probability falls at or below ``tol_prob`` get gain -inf (the branch
+    probability falls at or below ``TOL_PROB`` get gain -inf (the branch
     filters out).
 
     The grid and random stages' entry; the refinement uses
@@ -295,7 +295,7 @@ def filter_gain_batch(rho, c_in, a, n, b, m, tol_prob=TOL_PROB):
     of at least ``JACOBI_MIN_POINTS`` points takes tau's singular values
     from :func:`tau_singular_values`, a shorter one from :func:`_svd` on
     the (N, 4, 4) view of the same stack. The choice rests on the chunk's
-    length, not on how many of its points pass ``tol_prob``, so a point's
+    length, not on how many of its points pass ``TOL_PROB``, so a point's
     result depends only on the point and its chunk's length. The clamp
     policy is :func:`concurrence_from_lambdas`, as for a single state.
 
@@ -324,7 +324,7 @@ def filter_gain_batch(rho, c_in, a, n, b, m, tol_prob=TOL_PROB):
         tc[:] = _squared_norms(z)
         gc = gains[s]
         gc[:] = -np.inf
-        ok = tc > tol_prob
+        ok = tc > TOL_PROB
         if ok.any():
             tau = _tau(z if ok.all() else z[:, :, ok])
             del z  # the solve does not need the roots; keeps peak memory down
@@ -398,7 +398,7 @@ def filter_gain_gradient(x, c_in, a, n, b, m):
     return np.where(ok, c - c_in, -np.inf), t, grad
 
 
-def filter_gain_single(rho, c_in, a, n, b, m, tol_prob=TOL_PROB):
+def filter_gain_single(rho, c_in, a, n, b, m):
     """Single-point version of :func:`filter_gain_batch`.
 
     No package code calls it (the search sends every point through the
@@ -407,5 +407,5 @@ def filter_gain_single(rho, c_in, a, n, b, m, tol_prob=TOL_PROB):
     that time it. Its one point is a chunk below ``JACOBI_MIN_POINTS``, so
     LAPACK's ``svd`` solves it.
     """
-    gains, t = filter_gain_batch(rho, c_in, [a], [n], [b], [m], tol_prob)
+    gains, t = filter_gain_batch(rho, c_in, [a], [n], [b], [m])
     return float(gains[0]), float(t[0])

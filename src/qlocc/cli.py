@@ -108,21 +108,26 @@ def _state_from_args(args):
     return density_matrix_from_dict(json.loads(text)), {"state": args.state}
 
 
+def _write(path: str, text: str):
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path!r}: {exc}") from exc
+
+
 def _emit_json(doc: dict, out_path):
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(out_path, text)
     else:
         sys.stdout.write(text)
 
 
 def _emit_csv(text: str, manifest: dict, out_path):
     if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        with open(out_path + ".manifest.json", "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        _write(out_path, text)
+        _write(out_path + ".manifest.json", json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     else:
         sys.stdout.write(text)
         sys.stderr.write(json.dumps(manifest, sort_keys=True) + "\n")
@@ -254,7 +259,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except (_UsageError, FileNotFoundError, json.JSONDecodeError, DomainError) as exc:
+    except (_UsageError, json.JSONDecodeError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except QloccError as exc:

@@ -14,11 +14,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from qlocc import linalg
+from qlocc._kernels import TOL_PROB
 from qlocc.entanglement import concurrence
 from qlocc.errors import DomainError, FilteredOut, NotAttained, NotPhysical
 from qlocc.states import DensityMatrix, PauliRep
 
-TOL_PROB = 1e-14
 # normal form: largest marginal deviation from 1/2 (trace-normalized) at
 # which both marginals count as proportional to the identity, and the
 # iteration budget (random Hilbert-Schmidt states need at most about 700)

@@ -6,12 +6,16 @@ strengths and axes: a coarse grid and uniform random draws through the
 batched kernel, then lockstep quasi-Newton refinements of the best
 candidates. Each refinement step is one call of the gradient kernel on the
 trial points of every active start; it returns their gains with exact
-gradients in the Cartesian filter vectors v = a n, which the search maps to
-its (logit strength, theta, phi) chart. Unitary factors are omitted:
-the filtering transformation law is manifestly unitary-independent, which
-the test suite checks separately. Filter scales are pinned to their maxima
-1/(1+a) and 1/(1+b); they cancel between the transformed state and its
-normalization, another identity the tests pin down.
+gradients in the Cartesian filter vectors v = a n. The refinement moves
+each party's point u in R^3, mapped onto the open unit ball by
+v = u / sqrt(1 + |u|^2). The map is smooth and regular at u = 0, the
+identity filter, next to which lie the optimal filters of states close to
+their normal form, so gains just above the tolerance are found there too.
+Unitary factors are omitted: the filtering transformation law is
+manifestly unitary-independent, which the test suite checks separately.
+Filter scales are pinned to their maxima 1/(1+a) and 1/(1+b); they cancel
+between the transformed state and its normalization, another identity the
+tests pin down.
 
 Also here: the contrast operations that DO succeed on single copies of
 pure states (Procrustean filtering), the probability floor that forbids
@@ -68,7 +72,7 @@ MAX_SCALE_GRID_DENSITY = 200
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget and reproducibility knobs for the gain search.
+    """Budgets, seed and tolerance of the gain search.
 
     ``restarts`` counts uniform random parameter draws; ``grid_density``
     sets the points per parameter of the coarse 6-dimensional grid;
@@ -122,44 +126,44 @@ class Certificate:
         return self.best_gain <= self.config.tolerance
 
 
-def _logit(a):
-    a = np.clip(a, 1e-6, 1.0 - 1e-9)
-    return np.log(a / (1.0 - a))
+def _axes(z, phi):
+    """Unit vectors with z-component ``z`` and azimuth ``phi``.
+
+    Written into one preallocated array: building the random stage's axes
+    from fewer live temporaries keeps the search's peak memory down.
+    """
+    n = np.empty(np.shape(z) + (3,))
+    n[..., 2] = z
+    r = np.sqrt(1.0 - z * z)
+    np.multiply(r, np.cos(phi), out=n[..., 0])
+    np.multiply(r, np.sin(phi), out=n[..., 1])
+    return n
 
 
 def _grid_params(g: int):
-    """Coarse grid over strengths and spherical angles; includes a=b=0."""
+    """Coarse grid of filter pairs (a, n, b, m); includes a = b = 0.
+
+    Each party's g*g axes (g polar angles in [0, pi], g azimuths) are
+    built once as a table; the grid is every combination of strength and
+    axis for both parties, duplicate filter pairs included.
+    """
     a_vals = np.linspace(0.0, 0.96, g)
-    th_vals = np.linspace(0.0, math.pi, g)
-    ph_vals = np.linspace(0.0, 2.0 * math.pi, g, endpoint=False)
-    A, Tn, Pn, B, Tm, Pm = np.meshgrid(
-        a_vals, th_vals, ph_vals, a_vals, th_vals, ph_vals, indexing="ij"
-    )
-    return (
-        A.ravel(),
-        Tn.ravel(),
-        Pn.ravel(),
-        B.ravel(),
-        Tm.ravel(),
-        Pm.ravel(),
-    )
+    z, phi = np.meshgrid(np.cos(np.linspace(0.0, math.pi, g)),
+                         np.linspace(0.0, 2.0 * math.pi, g, endpoint=False), indexing="ij")
+    axes = _axes(z, phi).reshape(-1, 3)
+    ia, jn, ib, jm = np.unravel_index(np.arange(g**6), (g, g * g, g, g * g))
+    return a_vals[ia], axes[jn], a_vals[ib], axes[jm]
 
 
 def _random_params(rng: np.random.Generator, count: int):
-    """Uniform draws: stretched coordinates for strengths, area-uniform axes."""
+    """Uniform draws: logistic strengths of a uniform stretched coordinate in
+    [-_U_RANGE, _U_RANGE], area-uniform axes."""
     u = rng.random((count, 6))
     a = 1.0 / (1.0 + np.exp(-(2.0 * u[:, 0] - 1.0) * _U_RANGE))
-    th_n = np.arccos(1.0 - 2.0 * u[:, 1])
-    ph_n = 2.0 * math.pi * u[:, 2]
     b = 1.0 / (1.0 + np.exp(-(2.0 * u[:, 3] - 1.0) * _U_RANGE))
-    th_m = np.arccos(1.0 - 2.0 * u[:, 4])
-    ph_m = 2.0 * math.pi * u[:, 5]
-    return a, th_n, ph_n, b, th_m, ph_m
-
-
-def _axes_from_angles(theta, phi):
-    st = np.sin(theta)
-    return np.stack([st * np.cos(phi), st * np.sin(phi), np.cos(theta)], axis=-1)
+    n = _axes(1.0 - 2.0 * u[:, 1], 2.0 * math.pi * u[:, 2])
+    m = _axes(1.0 - 2.0 * u[:, 4], 2.0 * math.pi * u[:, 5])
+    return a, n, b, m
 
 
 def _top_indices(g, k):
@@ -174,30 +178,6 @@ def _top_indices(g, k):
     else:
         cand = np.arange(len(g))
     return cand[np.argsort(-g[cand], kind="stable")[:k]]
-
-
-def _chart_gradient(y, a, g):
-    """Gradients in the parties' charts from those in their filter vectors.
-
-    ``y`` holds (logit strength u, theta, phi) on its last axis, ``a`` the
-    strengths sigmoid(u), and ``g`` the gradients with respect to the filter
-    vectors v = a n(theta, phi). The results are a (1 - a) n.g (computed as
-    e / (1 + e)^2 with e = exp(-|u|), which keeps its precision at both ends
-    of the strength range), a dn/dtheta.g and a dn/dphi.g.
-    """
-    e = np.exp(-np.abs(y[..., 0]))
-    st, ct = np.sin(y[..., 1]), np.cos(y[..., 1])
-    sp, cp = np.sin(y[..., 2]), np.cos(y[..., 2])
-    gr = g[..., 0] * cp + g[..., 1] * sp  # the component along (cos phi, sin phi, 0)
-    return np.stack([e / (1.0 + e) ** 2 * (st * gr + ct * g[..., 2]),
-                     a * (ct * gr - st * g[..., 2]),
-                     a * st * (g[..., 1] * cp - g[..., 0] * sp)], axis=-1)
-
-
-def _sigmoid(x):
-    """1/(1 + exp(-x)) without overflow, for any real x."""
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0.0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 class _Refinement(NamedTuple):
@@ -287,12 +267,13 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     Three stages share one budget, all counted in ``evaluations``: a coarse
     grid (``grid_density`` points per parameter), ``restarts`` uniform
     random draws, and quasi-Newton refinements of the best candidates, at
-    most ``local_steps`` iterations each, in stretched coordinates that
-    resolve the strength boundaries. The root of rho that the refinement's
-    kernel calls share (:func:`~qlocc._kernels.gain_root`) and the input
-    concurrence are computed once per search. The objective is the directly
-    computed concurrence of the filtered state minus the input
-    concurrence; no transformation-law shortcut is used, so the
+    most ``local_steps`` iterations each, in each party's chart point u with
+    filter vector v = u / sqrt(1 + |u|^2): regular at the identity filter
+    u = 0, and reaching strengths near 1 as |u| grows. The root of rho that
+    the refinement's kernel calls share (:func:`~qlocc._kernels.gain_root`)
+    and the input concurrence are computed once per search. The objective
+    is the directly computed concurrence of the filtered state minus the
+    input concurrence; no transformation-law shortcut is used, so the
     certificate is independent of the law it corroborates.
 
     Deterministic: identical config (including seed) yields an identical
@@ -315,9 +296,7 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
             best.update(gain=float(gains[k]), a=float(a_arr[k]), n=n_arr[k].copy(),
                         b=float(b_arr[k]), m=m_arr[k].copy(), t=float(ts[k]))
 
-    def _consume(a_arr, th_n, ph_n, b_arr, th_m, ph_m):
-        n_arr = _axes_from_angles(th_n, ph_n)
-        m_arr = _axes_from_angles(th_m, ph_m)
+    def _consume(a_arr, n_arr, b_arr, m_arr):
         gains, ts = _kernels.filter_gain_batch(rho.mat, c_in, a_arr, n_arr, b_arr, m_arr)
         _record(gains, ts, a_arr, n_arr, b_arr, m_arr)
         return gains
@@ -327,25 +306,33 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     rand = _random_params(rng, cfg.restarts)
     rand_gains = _consume(*rand)
 
-    # refinement seeds: best candidates across both pools (grid first),
-    # strengths stretched; only the chosen rows are gathered
+    # refinement seeds: the best candidates across both pools (grid first),
+    # as chart points u = v / sqrt(1 - |v|^2); only the chosen rows are gathered
     top = _top_indices(np.concatenate([grid_gains, rand_gains]), _REFINE_TOP)
     ng = len(grid_gains)
-    x0 = np.array([[p[i] for p in grid] if i < ng else [p[i - ng] for p in rand] for i in top])
-    x0[:, [0, 3]] = _logit(x0[:, [0, 3]])
+    seeds = [(grid, i) if i < ng else (rand, i - ng) for i in top]
+    u0 = np.array([[a[i] * n[i] / math.sqrt(1.0 - a[i] ** 2),
+                    b[i] * m[i] / math.sqrt(1.0 - b[i] ** 2)] for (a, n, b, m), i in seeds])
     # the refinement's root, prepared once: its calls pay no eigh or svd of rho
     root = _kernels.gain_root(rho.mat)
 
     def neg_gains(x):
-        y = x.reshape(-1, 2, 3)  # (logit strength, theta, phi) of each party
-        s = _sigmoid(y[..., 0])
-        axes = _axes_from_angles(y[..., 1], y[..., 2])
-        a, n_arr, b, m_arr = s[:, 0], axes[:, 0], s[:, 1], axes[:, 1]
-        gains, ts, grad = _kernels.filter_gain_gradient(root, c_in, a, n_arr, b, m_arr)
-        _record(gains, ts, a, n_arr, b, m_arr)
-        return -gains, -_chart_gradient(y, s, grad.reshape(-1, 2, 3)).reshape(-1, 6)
+        # each party's chart point u maps to the filter vector
+        # v = u / sqrt(1 + |u|^2), strength |v| and axis u / |u| (z at u = 0)
+        u = x.reshape(-1, 2, 3)
+        norm = np.sqrt((u * u).sum(axis=-1, keepdims=True))
+        s = 1.0 / np.sqrt(1.0 + norm * norm)
+        v = u * s
+        a = (norm * s)[..., 0]
+        axes = np.where(norm > 0.0, u / np.where(norm > 0.0, norm, 1.0), [0.0, 0.0, 1.0])
+        gains, ts, grad = _kernels.filter_gain_gradient(root, c_in, a[:, 0], axes[:, 0],
+                                                        a[:, 1], axes[:, 1])
+        _record(gains, ts, a[:, 0], axes[:, 0], a[:, 1], axes[:, 1])
+        grad = grad.reshape(-1, 2, 3)
+        # pulled back through dv/du = s (1 - v v^T)
+        return -gains, -(s * (grad - v * (v * grad).sum(axis=-1, keepdims=True))).reshape(-1, 6)
 
-    _quasi_newton(neg_gains, x0, cfg.local_steps)
+    _quasi_newton(neg_gains, u0.reshape(-1, 6), cfg.local_steps)
 
     fa = LocalFilter(strength=best["a"], axis=best["n"], scale=1.0 / (1.0 + best["a"]))
     fb = LocalFilter(strength=best["b"], axis=best["m"], scale=1.0 / (1.0 + best["b"]))

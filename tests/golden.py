@@ -23,7 +23,7 @@ import numpy as np
 from qlocc import cli, nogo, states
 
 from test_acceptance import BELL_CONFIG
-from test_nogo import SMALL, _power_states
+from test_nogo import SMALL, WERNER_EPSILONS, _perturbed, _power_states
 
 PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 
@@ -35,7 +35,6 @@ class Golden(NamedTuple):
     input: str
     certify: Callable[[], dict]
     gain_bound: float
-    note: str | None = None
 
 
 def _cli_certificate(argv) -> dict:
@@ -50,26 +49,16 @@ def _search(rho, cfg) -> dict:
 
 
 def tolerance_scale_state() -> states.DensityMatrix:
-    """W(0.8) + 3e-4 H, with H the first of the four draws at that epsilon.
-
-    ``default_rng(42)`` draws four H for each epsilon in 1e-1, 3e-2, 1e-2,
-    3e-3, 1e-3, 3e-4 and 1e-4, in that order. Each H is (G + G+)/2 for a
-    complex standard-normal G, with its trace removed and scaled to unit
-    Frobenius norm. The normal-form optimum gain is 1.10e-7.
-    """
-    rng = np.random.default_rng(42)
-    for _ in range(21):
-        g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    h = (g + g.conj().T) / 2
-    h -= np.trace(h).real / 4 * np.eye(4)
-    h /= np.linalg.norm(h)
-    return states.DensityMatrix(states.make_werner(0.8).mat + 3e-4 * h)
+    """W(0.8) + 3e-4 H, with H the first of the four draws at that epsilon
+    in ``test_nogo._perturbed(make_werner(0.8), 42, WERNER_EPSILONS)``.
+    The normal-form optimum gain is 1.10e-7."""
+    return _perturbed(states.make_werner(0.8), 42, WERNER_EPSILONS)[20][1]
 
 
 # Werner and Bell-diagonal states gain nothing, so their best gains are
 # rounding noise around 0; the full-rank state's is held to 1e-9 of its
-# optimum by the power test; the tolerance-scale search may stop anywhere
-# between 0 and its optimum of 1.1e-7.
+# optimum by the power test, and the tolerance-scale state's (optimum 1.10e-7)
+# by the tolerance-scale power test, so its verdict is compared too.
 GOLDEN = {
     "werner-0.8-cli": Golden(
         "qlocc nogo --werner 0.8 --seed 7 (CLI defaults)",
@@ -89,10 +78,7 @@ GOLDEN = {
     "tolerance-scale": Golden(
         "W(0.8) + 3e-4 H (golden.tolerance_scale_state) at the Bell budget, seed 0",
         lambda: _search(tolerance_scale_state(), nogo.SearchConfig(seed=0, **BELL_CONFIG)),
-        2e-7,
-        "Records bits, not a correct verdict: the optimum gain 1.10e-7 is above "
-        "the tolerance, so holds: true here is a false certificate. The fix for "
-        "false certificates at the tolerance (ROADMAP item 1) regenerates this entry.",
+        1e-9,
     ),
 }
 
@@ -104,10 +90,7 @@ def environment() -> dict:
 
 def entry(name: str) -> dict:
     g = GOLDEN[name]
-    doc = {"input": g.input, "body": g.certify()}
-    if g.note:
-        doc["note"] = g.note
-    return doc
+    return {"input": g.input, "body": g.certify()}
 
 
 def render(doc) -> str:

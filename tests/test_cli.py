@@ -94,6 +94,32 @@ def test_unreadable_state_file_is_usage_error(kind, tmp_path, capsys):
     assert err.startswith("error: cannot read --state file")
 
 
+MEASURE_ARGV = ["measure", "--werner", "0.8"]
+SWEEP_ARGV = ["sweep", "--f-list", "0.75", "--grid-density", "8"]
+
+
+@pytest.mark.parametrize("argv, target", [
+    (MEASURE_ARGV, "directory"),
+    (MEASURE_ARGV, "missing-parent"),
+    (SWEEP_ARGV, "directory"),
+    (SWEEP_ARGV, "missing-parent"),
+    (SWEEP_ARGV, "sidecar-directory"),
+], ids=["measure-directory", "measure-missing-parent", "sweep-directory",
+        "sweep-missing-parent", "sweep-sidecar-directory"])
+def test_unwritable_out_is_usage_error(argv, target, tmp_path, capsys):
+    out_path = tmp_path / "out"
+    if target == "directory":
+        out_path.mkdir()
+    elif target == "missing-parent":
+        out_path = tmp_path / "missing" / "out"
+    else:
+        (tmp_path / "out.manifest.json").mkdir()
+    code, out, err = _run(capsys, argv + ["--out", str(out_path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: cannot write")
+
+
 def test_missing_state_flag_is_usage_error(capsys):
     code, _, _ = _run(capsys, ["measure"])
     assert code == 1

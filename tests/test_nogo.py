@@ -213,6 +213,79 @@ def test_search_reaches_normal_form_optimum():
     assert max(np.abs(gaps)) <= 1e-9, gaps
 
 
+def _perturbed(base, seed, epsilons):
+    """(eps, base + eps H) for each eps in turn, four H per eps, drawn in
+    order from ``default_rng(seed)``. Each H is (G + G+)/2 for a complex
+    standard-normal 4x4 G, with its trace removed and scaled to unit
+    Frobenius norm."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for eps in epsilons:
+        for _ in range(4):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            h = (g + g.conj().T) / 2
+            h -= np.trace(h).real / 4 * np.eye(4)
+            h /= np.linalg.norm(h)
+            out.append((eps, DensityMatrix(base.mat + eps * h)))
+    return out
+
+
+# W(0.8) + eps H: the draws golden.tolerance_scale_state takes its state from
+WERNER_EPSILONS = (1e-1, 3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
+
+
+def _tolerance_scale_states():
+    """Near-Werner and near-Bell-diagonal states whose optimum gains, from
+    1.10e-7 to 1.41e-5, lie just above the 1e-7 tolerance: W(0.8) + eps H
+    for eps in 3e-3, 1e-3 and 3e-4, and the Bell-diagonal state
+    [0.7, 0.1, 0.15, 0.05] + eps H (``default_rng(5)``) for eps in 3e-3
+    and 1e-3, with the optimum gain of each."""
+    near = [rho for eps, rho in _perturbed(make_werner(0.8), 42, WERNER_EPSILONS)
+            if eps in (3e-3, 1e-3, 3e-4)]
+    near += [rho for eps, rho in
+             _perturbed(make_bell_diagonal([0.7, 0.1, 0.15, 0.05]), 5, (1e-2, 3e-3, 1e-3))
+             if eps in (3e-3, 1e-3)]
+    return [(rho, normal_form(rho).optimum - concurrence(rho)) for rho in near]
+
+
+def test_search_finds_gains_at_the_tolerance_scale():
+    # the filtering normal form sits next to the identity filter here
+    # (strengths of a few 1e-4), where a search must not stop short; the
+    # worst gap measured was 5.6e-15
+    cases = _tolerance_scale_states()
+    assert len(cases) == 20
+    assert min(g for _, g in cases) > 1.1e-7 and max(g for _, g in cases) < 1.5e-5
+    for cfg in (SearchConfig(seed=0, **BELL_CONFIG), SearchConfig()):
+        for rho, opt_gain in cases:
+            cert = maximize_concurrence_gain(rho, cfg)
+            assert not cert.holds, (cfg, opt_gain, cert.best_gain)
+            assert abs(opt_gain - cert.best_gain) <= 1e-13, (cfg, opt_gain, cert.best_gain)
+
+
+def test_refinement_gradient_matches_central_differences(monkeypatch):
+    # the refinement's chart point u of each party maps to the filter vector
+    # u / sqrt(1 + |u|^2); u = 0 is the identity filter, a regular point
+    objectives = []
+
+    def recording(f, x0, max_iter):
+        objectives.append(f)
+        return _quasi_newton(f, x0, max_iter)
+
+    monkeypatch.setattr(nogo, "_quasi_newton", recording)
+    rho = _power_states(7, 1)[0][0]
+    maximize_concurrence_gain(rho, SearchConfig(restarts=10, grid_density=2, local_steps=1))
+    f = objectives[0]
+    points = np.vstack([np.zeros(6), np.random.default_rng(3).normal(size=(4, 6))])
+    value, grad = f(points)
+    assert abs(value[0]) <= 1e-15  # the identity filter gains nothing
+    h = 1e-6
+    for i in range(6):
+        step = h * np.eye(6)[i]
+        diff = (f(points + step)[0] - f(points - step)[0]) / (2 * h)
+        np.testing.assert_allclose(grad[:, i], diff, rtol=0, atol=1e-8)
+    assert np.abs(grad[0]).max() > 1e-2  # the gain has a slope at the identity
+
+
 def test_search_rejects_unentangled_input():
     with pytest.raises(NotEntangled):
         maximize_concurrence_gain(make_werner(0.4), SMALL)
