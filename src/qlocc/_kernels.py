@@ -5,18 +5,17 @@ rho = X X+, the lambdas are the singular values of Wootters'
 tau = X^T (sy x sy) X (PRL 80, 2245 (1998)), since tau+ tau = X+ rho~ X
 has the eigenvalues of rho * rho~.
 
-Two solvers take those singular values, behind one tau and one clamp policy
+Every route shares one tau and one clamp policy
 (``concurrence_from_lambdas``). Single states (``lambdas``) use the root of
-``state_root``. The gain kernels use ``gain_root``, the same root turned by
-the right singular vectors of its tau, so that every filtered tau is
-column-orthogonal up to rounding. LAPACK's ``svd`` (``_svd``) serves single
-states, the chunks of fewer than ``JACOBI_MIN_POINTS`` points of the grid
-and random entry ``filter_gain_batch``, and the refinement entry
-``filter_gain_gradient``, which takes singular vectors too and returns exact
-gradients. ``filter_gain_batch`` holds its points batch-last, as (4, 4, N)
-stacks, and solves a longer chunk all at once by one-sided Jacobi
-(``tau_singular_values``), which the gain root lets stop after about two
-sweeps. The two solvers agree within a few eps * tr(rho).
+``state_root`` and LAPACK's ``svd`` (``_svd``). The gain kernels use
+``gain_root``, the same root turned by the right singular vectors of its
+tau, so that every filtered tau is column-orthogonal up to rounding. The
+grid and random entry ``filter_gain_batch`` holds its points batch-last, as
+(4, 4, N) stacks, and takes each point's singular values as the norms of
+tau's columns wherever a per-point test shows those norms accurate
+(``tau_singular_values``); the points that fail it go to ``_svd``, in one
+call per chunk. The refinement entry ``filter_gain_gradient`` takes
+``_svd`` with singular vectors and returns exact gradients.
 """
 
 from __future__ import annotations
@@ -50,29 +49,15 @@ _YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 _CONC_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 _PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 # filter_gain_batch evaluates its points in chunks of this many, so the
-# temporaries of one chunk stay within a few MB
+# temporaries of one chunk stay within a few MB; every chunk length takes
+# the same route, so a point's bits do not depend on its chunk
 CHUNK = 4096
-# filter_gain_batch solves a chunk of fewer points than this by LAPACK's
-# svd, one 4x4 matrix at a time, and a longer one by one-sided Jacobi. A
-# Jacobi solve is a few hundred numpy calls whatever its length (0.7 ms at
-# one point), LAPACK about 5.3 us per point; both take 1.4 ms at 256 points
-# (shared 2-CPU Xeon virtual machine, numpy 2.4).
-JACOBI_MIN_POINTS = 256
-# One-sided Jacobi: a column pair is rotated while |<p, q>| exceeds
-# JACOBI_TOL * |p| |q| (four rows, so about the rounding of the inner
-# product); a stack that still rotates after JACOBI_MAX_SWEEPS sweeps raises
-# ConvergenceFailure. 4x4 stacks from an eigh root settle in four or five
-# sweeps; those from gain_root take two for a generic full-rank state, and
-# still about four for Werner and rank-deficient states.
-JACOBI_TOL = 4.0 * _EPS
-JACOBI_MAX_SWEEPS = 30
-# a sweep is three rounds of two disjoint column pairs, (0,1)(2,3),
-# (0,2)(1,3) and (0,3)(1,2), given as (p columns, q columns) slices
-_JACOBI_ROUNDS = (
-    (slice(0, 4, 2), slice(1, 4, 2)),
-    (slice(0, 2), slice(2, 4)),
-    (slice(0, 2), slice(3, 1, -1)),
-)
+# tau_singular_values takes a point's column norms as its singular values
+# when every column pair (p, q) has |<p, q>| <= ORTHO_TOL * t * (|p| + |q|)
+ORTHO_TOL = 4.0 * _EPS
+# the six column pairs (p, q), p < q
+_PAIR_P = [0, 0, 0, 1, 1, 2]
+_PAIR_Q = [1, 2, 3, 2, 3, 3]
 
 
 def eigvals4x4(m):
@@ -112,10 +97,10 @@ def gain_root(rho):
     and tau(X W) = W^T tau(X) W = (V^T U) Sigma has orthogonal columns. A
     local filter pair only multiplies tau by det A det B (Wootters' law), so
     every filtered point's tau reaches :func:`tau_singular_values` already
-    column-orthogonal up to rounding, and its Jacobi solve stops after about
-    two sweeps instead of four. The law sets only how many sweeps run; every
+    column-orthogonal up to rounding, and its column norms pass that
+    function's test. The law sets only which points need LAPACK; every
     value is still computed from the filtered root itself. Single-state
-    routes keep :func:`state_root`, as they have no Jacobi solve to shorten.
+    routes keep :func:`state_root`, as LAPACK solves them whatever the root.
     """
     x = state_root(rho)
     return x @ _svd(_root_tau(x), compute_uv=True)[2].conj().T
@@ -144,8 +129,7 @@ def lambdas(x):
     """Descending lambda spectrum of a root X, the singular values of tau.
 
     Serves single states; a (..., 4, 4) stack of roots works too. Solved by
-    :func:`_svd`, as are the batched kernel's chunks of fewer than
-    ``JACOBI_MIN_POINTS`` points; longer chunks go to
+    :func:`_svd`; the batched kernel goes through
     :func:`tau_singular_values`.
     """
     return _svd(_root_tau(x))
@@ -170,54 +154,67 @@ def concurrence4(rho):
     return float(concurrence_from_lambdas(lambdas(state_root(rho))))
 
 
-def tau_singular_values(tau):
-    """Descending singular values of a (4, 4, N) stack of matrices, as (N, 4).
+def tau_singular_values(tau, t):
+    """Descending singular values of a (4, 4, N) stack of taus, as (N, 4).
 
-    One-sided (Hestenes) Jacobi, vectorized over the stack (Demmel and
-    Veselic, SIAM J. Matrix Anal. Appl. 13, 1204 (1992)): plane rotations
-    from the right orthogonalize the columns, whose norms are then the
-    singular values, each within a few eps of the largest. The rotations
-    overwrite ``tau``. Squared column norms are taken afresh at the start of
-    each sweep and updated incrementally within it. A point whose pair is
-    already orthogonal gets the exact identity (cosine 1, sine 0), so no
-    result depends on the other points of the stack. The solve stops after
-    a sweep without rotation and raises ``ConvergenceFailure`` after
-    ``JACOBI_MAX_SWEEPS`` sweeps.
+    ``t`` holds each point's branch probability |Z|^2. tau = Z^T (sy x sy) Z
+    is quadratic in Z, so every column norm of tau is at most t, and the
+    rounding of its entries is a few eps t. A point's singular values are
+    the norms n_p of its columns when every column pair (p, q) passes
+
+        |<p, q>| <= delta t (n_p + n_q),    delta = ORTHO_TOL,
+
+    and come from :func:`_svd` otherwise, the failing points of the stack in
+    one call. Norms and inner products are summed over the rows in one fixed
+    order and LAPACK solves each matrix on its own, so a point's values
+    depend only on the point.
+
+    What the test guarantees. Write tau+ tau = D + E, D holding the squared
+    norms n_p^2 and E the inner products e_pq, and compare
+    C = s1 - s2 - s3 - s4 = 2 s1 - sum(s) of the singular values s with C'
+    of the sorted norms, the largest n1.
+
+    - s1^2 is the largest eigenvalue of D + E: at least n1^2 (Rayleigh) and
+      at most n1^2 + |E|_2 (Weyl). The test bounds every row sum of |E|, and
+      so |E|_2, by 6 delta t n1; hence 0 <= s1 - n1 <= 3 delta t.
+    - The eigenvalues of D + E majorize its diagonal (Schur-Horn) and the
+      square root is concave, so sum(s) <= sum(n). The first-order shifts
+      of the singular values cancel in this sum: one pair alone lowers it
+      by |e_pq|^2 / (2 n_p n_q (n_p + n_q)) to leading order, and never by
+      more than min(n_p, n_q). Under the test that is at most delta t, so
+      0 <= sum(n) - sum(s) <= 6 delta t.
+
+    Hence C' <= C <= C' + 12 delta t: the norms never overstate the
+    concurrence and understate it by at most 12 ORTHO_TOL = 48 eps
+    (1.1e-14) once divided by t; the rounding of the test itself adds about
+    2 eps to delta. Within the -1-signed cluster s2..s4 the first-order
+    shifts cancel; only s1 keeps one, and the test bounds it absolutely, so
+    a near-tie of s1 and s2 needs no special case.
+
+    Why the scale is t. Rounding leaves e_pq of about eps t (n_p + n_q)
+    whatever the norms, and n_p n_q <= t (n_p + n_q) / 2, so a relative
+    term eta n_p n_q would add nothing to the test. A test relative to the
+    columns alone fails the taus of rank-deficient states, whose small
+    columns are rounding noise; a floor delta n1^2 passes two parallel
+    columns of norm sqrt(delta) n1, for which C' is off by about
+    0.6 sqrt(delta) n1. With ORTHO_TOL = 4 eps and gain_root's roots, no
+    point of a Werner, Bell-diagonal or rank-2 state failed in 4096 random
+    filter pairs each, and 0.06% of the points of 1500 Hilbert-Schmidt
+    random states did (256 pairs each; 7 states had any failure).
     """
-    for _ in range(JACOBI_MAX_SWEEPS):
-        norms = (tau.real**2 + tau.imag**2).sum(axis=0)
-        rotated = False
-        for pc, qc in _JACOBI_ROUNDS:
-            p, q = tau[:, pc], tau[:, qc]
-            al, be = norms[pc], norms[qc]
-            g = (p.conj() * q).sum(axis=0)
-            ga = np.abs(g)
-            rot = ga > JACOBI_TOL * np.sqrt(al * be)
-            if not rot.any():
-                continue
-            rotated = True
-            # the rotation with cosine c and sine c t e, e = g/|g|, zeroes
-            # <p, q>; rot as the numerator makes t exactly 0 where none is due
-            gs = np.where(rot, ga, 1.0)
-            zeta = (be - al) / (2.0 * gs)
-            t = np.copysign(rot / (np.abs(zeta) + np.sqrt(1.0 + zeta * zeta)), zeta)
-            c = 1.0 / np.sqrt(1.0 + t * t)
-            sig = (c * t / gs) * g.conj()
-            c = c.astype(np.complex128)
-            sq = sig * q
-            q *= c
-            q += sig.conj() * p
-            p *= c
-            p -= sq
-            tg = t * ga
-            # rounding can take a vanishing column's norm below zero
-            np.maximum(al - tg, 0.0, out=al)
-            be += tg
-        if not rotated:
-            norms = np.sqrt(norms)
-            norms.sort(axis=0)
-            return norms[::-1].T
-    raise ConvergenceFailure(f"one-sided Jacobi still rotating after {JACOBI_MAX_SWEEPS} sweeps")
+    sq = tau.real**2 + tau.imag**2
+    norms = np.sqrt((sq[0] + sq[1]) + (sq[2] + sq[3]))
+    g = tau[:, _PAIR_P]
+    np.conjugate(g, out=g)
+    g *= tau[:, _PAIR_Q]
+    g = (g[0] + g[1]) + (g[2] + g[3])
+    bound = (ORTHO_TOL * t) * (norms[_PAIR_P] + norms[_PAIR_Q])
+    full = (g.real**2 + g.imag**2 > bound * bound).any(axis=0)
+    norms.sort(axis=0)
+    sv = norms[::-1].T
+    if full.any():
+        sv[full] = _svd(np.moveaxis(tau[:, :, full], -1, 0))
+    return sv
 
 
 def _filters(s, v):
@@ -291,13 +288,12 @@ def filter_gain_batch(rho, c_in, a, n, b, m):
     once per call. Each chunk is held batch-last. Both filters are built
     elementwise as (2, 2, N) stacks, the filtered root (A x B) X as (1 x B)
     then (A x 1) broadcast products over X reshaped to (2, 2, 4), the branch
-    probability as its squared norm, and tau as a (4, 4, N) stack. A chunk
-    of at least ``JACOBI_MIN_POINTS`` points takes tau's singular values
-    from :func:`tau_singular_values`, a shorter one from :func:`_svd` on
-    the (N, 4, 4) view of the same stack. The choice rests on the chunk's
-    length, not on how many of its points pass ``TOL_PROB``, so a point's
-    result depends only on the point and its chunk's length. The clamp
-    policy is :func:`concurrence_from_lambdas`, as for a single state.
+    probability as its squared norm, and tau as a (4, 4, N) stack. Every
+    chunk, whatever its length, takes tau's singular values from
+    :func:`tau_singular_values`: column norms where its per-point test
+    passes, :func:`_svd` for the rest. So a point's result depends only on
+    the point. The clamp policy is :func:`concurrence_from_lambdas`, as for
+    a single state.
 
     The points are evaluated in chunks of ``CHUNK``. A batch of two or more
     chunks is spread over a thread pool with one worker per usable CPU (at
@@ -328,10 +324,7 @@ def filter_gain_batch(rho, c_in, a, n, b, m):
         if ok.any():
             tau = _tau(z if ok.all() else z[:, :, ok])
             del z  # the solve does not need the roots; keeps peak memory down
-            if len(tc) < JACOBI_MIN_POINTS:
-                sv = _svd(np.moveaxis(tau, -1, 0))
-            else:
-                sv = tau_singular_values(tau)
+            sv = tau_singular_values(tau, tc[ok])
             gc[ok] = concurrence_from_lambdas(sv / tc[ok, None]) - c_in
 
     starts = range(0, len(a), CHUNK)
@@ -404,8 +397,8 @@ def filter_gain_single(rho, c_in, a, n, b, m):
     No package code calls it (the search sends every point through the
     batch). It stays only because the benchmark's tracer
     (``perfbench/tracing.py``) looks it up by name, and goes with the figures
-    that time it. Its one point is a chunk below ``JACOBI_MIN_POINTS``, so
-    LAPACK's ``svd`` solves it.
+    that time it. Its one point takes the batch's route, so its result has
+    the bits the point has in any batch.
     """
     gains, t = filter_gain_batch(rho, c_in, [a], [n], [b], [m])
     return float(gains[0]), float(t[0])

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from qlocc import locc, states
+from qlocc import _kernels, locc, states
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -91,6 +91,22 @@ def su2_from_angle_axis(theta, axis):
 @pytest.fixture
 def rng():
     return np.random.default_rng(20260810)
+
+
+@pytest.fixture
+def svd_fails_on_stacks(monkeypatch):
+    """LAPACK's svd fails on (N, 4, 4) stacks, and the batched gain kernel
+    gets an eigh root, whose taus are not column-orthogonal, so every point
+    goes to such a stack. Single matrices, as for c_in, still solve."""
+    svd = np.linalg.svd
+
+    def fail(m, *args, **kwargs):
+        if np.ndim(m) == 3:
+            raise np.linalg.LinAlgError("SVD did not converge")
+        return svd(m, *args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "gain_root", _kernels.state_root)
+    monkeypatch.setattr(np.linalg, "svd", fail)
 
 
 def random_op(rng, max_strength=0.98):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qlocc
-from qlocc import _kernels, cli, nogo
+from qlocc import cli, nogo
 from qlocc.errors import NotAttained
 from qlocc.states import density_matrix_to_dict, make_werner
 
@@ -154,11 +154,12 @@ def test_nogo_rerun_is_byte_identical(tmp_path, capsys):
     assert body1 == body2
 
 
-def test_nogo_jacobi_sweep_cap_is_validation_error(capsys, monkeypatch):
-    monkeypatch.setattr(_kernels, "JACOBI_MAX_SWEEPS", 1)
-    code, _, err = _run(capsys, ["nogo", "--werner", "0.8", "--restarts", "64"])
+def test_nogo_svd_failure_is_validation_error(capsys, svd_fails_on_stacks):
+    # the batched kernel's fallback svd fails on the grid stage's points
+    code, out, err = _run(capsys, ["nogo", "--werner", "0.8", "--restarts", "64"])
     assert code == 2
-    assert "sweeps" in err
+    assert out == ""
+    assert err.startswith("error: ") and "did not converge" in err
 
 
 def test_nogo_budget_beyond_stage_cap_is_usage_error(capsys):

@@ -1,5 +1,6 @@
-"""The numpy kernels: the Jacobi and LAPACK solvers against each other and
-against references, the batched gain, its threads and its error paths."""
+"""The numpy kernels: the batched gain's column-norm route and its LAPACK
+fallback against each other and against references, the batched gain, its
+threads and its error paths."""
 
 import sys
 
@@ -10,7 +11,7 @@ from qlocc import _kernels, states
 from qlocc.entanglement import concurrence
 from qlocc.errors import ConvergenceFailure, SpectrumError
 from qlocc.locc import random_filter, random_unitary
-from qlocc.nogo import SearchConfig, certificate_to_dict, maximize_concurrence_gain
+from qlocc.nogo import SearchConfig, _random_params, certificate_to_dict, maximize_concurrence_gain
 
 # the kernels as a parameter, so each test's id names the backend it ran on
 ON_BACKEND = pytest.mark.parametrize("impl", [_kernels], ids=[_kernels.BACKEND])
@@ -91,20 +92,33 @@ def test_threaded_batch_is_identical_to_chunks_and_one_worker(rng, monkeypatch):
     assert np.array_equal(ts, ts1)
 
 
-def test_threaded_batch_raises_worker_errors(rng, monkeypatch):
-    def fail(tau):
-        raise FloatingPointError("chunk failed")
-
+def test_threaded_batch_raises_worker_errors(rng, monkeypatch, svd_fails_on_stacks):
+    # the fallback svd fails in both chunks of a threaded batch; the caller
+    # gets the worker's ConvergenceFailure
     rho = states.random_density_matrix(rng).mat
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
-    monkeypatch.setattr(_kernels, "tau_singular_values", fail)
-    with pytest.raises(FloatingPointError, match="chunk failed"):
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
         _kernels.filter_gain_batch(rho, 0.1, *_random_batch(rng, 2 * _kernels.CHUNK))
 
 
-def _kron_roots(rho, rng, N, max_strength):
-    """Roots (A x B) X of N randomly filtered copies of rho, built as dense
-    Kronecker products, and their squared norms t = tr((A x B) rho (A x B)+)."""
+def _svd_rows(monkeypatch):
+    """Count the matrices that reach :func:`_kernels._svd` in stacks; the
+    returned list gets one count per call."""
+    rows = []
+    svd = _kernels._svd
+
+    def counted(tau, compute_uv=False):
+        if np.ndim(tau) == 3:
+            rows.append(len(tau))
+        return svd(tau, compute_uv)
+
+    monkeypatch.setattr(_kernels, "_svd", counted)
+    return rows
+
+
+def _kron_roots(root, rng, N, max_strength):
+    """Roots (A x B) X of N randomly filtered copies of the root X, built as
+    dense Kronecker products, and their squared norms t = |(A x B) X|^2."""
     a, n, b, m = _random_batch(rng, N)
     a *= max_strength / 0.98
     b *= max_strength / 0.98
@@ -112,7 +126,7 @@ def _kron_roots(rho, rng, N, max_strength):
     fa = np.eye(2) + a[:, None, None] * np.einsum("nk,kij->nij", n, pauli)
     fb = np.eye(2) + b[:, None, None] * np.einsum("nk,kij->nij", m, pauli)
     kron = np.einsum("nab,ncd->nacbd", fa, fb).reshape(N, 4, 4)
-    roots = kron @ _kernels.state_root(rho)
+    roots = kron @ root
     return roots, (np.abs(roots) ** 2).sum(axis=(1, 2))
 
 
@@ -129,32 +143,74 @@ JACOBI_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", list(JACOBI_CASES))
-@pytest.mark.parametrize("max_strength", [0.98, 0.999])
-def test_jacobi_matches_lapack(case, max_strength, rng):
-    # the batched solver against LAPACK's svd of the same tau, point by
-    # point, within 8 eps of the spectrum's scale t; the rank-1 and rank-2
-    # states give tau zero columns, the product state a zero spectrum
+# the taus of the column-norm tests: JACOBI_CASES, Werner states with and
+# without a clear gap to separability, and a Bell-diagonal state
+COLUMN_NORM_CASES = {
+    **JACOBI_CASES,
+    "werner-0.8": lambda rng: states.make_werner(0.8).mat,
+    "werner-0.5001": lambda rng: states.make_werner(0.5001).mat,
+    "bell-diagonal": lambda rng: states.make_bell_diagonal([0.7, 0.1, 0.15, 0.05]).mat,
+}
+
+
+@pytest.mark.parametrize("case", list(COLUMN_NORM_CASES))
+@pytest.mark.parametrize("max_strength", [0.98, 0.999, 0.9997])
+def test_jacobi_matches_lapack(case, max_strength, rng, monkeypatch):
+    # tau_singular_values on gain_root's filtered roots against LAPACK's svd
+    # of the same tau, point by point, within 8 eps of the spectrum's scale
+    # t; the rank-1 and rank-2 states give tau zero columns, the product
+    # state a zero spectrum. The roots' taus are column-orthogonal, so
+    # nearly every point takes the column norms (an eigh root's would all
+    # fall back, and the comparison would check LAPACK against itself).
+    rows = _svd_rows(monkeypatch)
     for _ in range(4):
-        rho = JACOBI_CASES[case](rng)
-        roots, t = _kron_roots(rho, rng, 200, max_strength)
+        rho = COLUMN_NORM_CASES[case](rng)
+        roots, t = _kron_roots(_kernels.gain_root(rho), rng, 200, max_strength)
         tau = _tau_stack(roots)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
-            sv = _kernels.tau_singular_values(tau)
+            sv = _kernels.tau_singular_values(tau, t)
+        fell_back = sum(rows)
         assert sv.shape == (200, 4)
         assert np.all(np.diff(sv, axis=1) <= 0)
         assert np.all(np.abs(sv - _kernels.lambdas(roots)) <= 8 * _kernels._EPS * t[:, None])
+        assert fell_back <= 2
+        rows.clear()
+
+
+def test_eigh_root_taus_take_the_full_solve(rng, monkeypatch):
+    # non-vacuity: taus that are not column-orthogonal fail the test, go to
+    # LAPACK in one call, and still match it. The first stack holds the
+    # filtered taus of an eigh root. The second holds two taus with
+    # orthogonal columns of norms 1 and 0.5; the first of them adds two
+    # parallel columns of norm 5e-8, whose inner product would pass a floor
+    # of 16 eps times the largest squared column norm, and whose column
+    # norms would understate C by 3e-8.
+    tol = 8 * _kernels._EPS
+    rows = _svd_rows(monkeypatch)
+    rho = states.random_density_matrix(rng).mat
+    roots, t = _kron_roots(_kernels.state_root(rho), rng, 200, 0.999)
+    sv = _kernels.tau_singular_values(_tau_stack(roots), t)
+    assert rows == [200]
+    assert np.all(np.abs(sv - _kernels.lambdas(roots)) <= tol * t[:, None])
+    rows.clear()
+    u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    tau = np.stack([u * [1.0, 0.5, 5e-8, 0.0], u * [1.0, 0.5, 0.0, 0.0]], axis=-1)
+    tau[:, 3, 0] = tau[:, 2, 0]
+    sv = _kernels.tau_singular_values(tau, np.ones(2))
+    assert rows == [1]
+    assert np.all(np.abs(sv - [[1.0, 0.5, np.sqrt(2) * 5e-8, 0.0], [1.0, 0.5, 0.0, 0.0]]) <= tol)
 
 
 def test_jacobi_point_does_not_depend_on_stack(rng):
-    # a converged point gets the exact identity, so solving it alone or
-    # among slower points gives the same bits
+    # column-norm points and points that fall back to LAPACK, mixed: each
+    # solved alone gives the bits it has in the stack
     rho = states.random_density_matrix(rng).mat
-    roots, _ = _kron_roots(rho, rng, 40, 0.999)
-    roots[::3] = _kron_roots(states.make_werner(1.0).mat, rng, 14, 0.98)[0]
+    roots, t = _kron_roots(_kernels.gain_root(rho), rng, 40, 0.999)
+    roots[::3], t[::3] = _kron_roots(_kernels.state_root(rho), rng, 14, 0.98)
     tau = _tau_stack(roots)
-    alone = [_kernels.tau_singular_values(tau[:, :, i : i + 1].copy()) for i in range(40)]
-    assert np.array_equal(_kernels.tau_singular_values(tau), np.concatenate(alone))
+    alone = [_kernels.tau_singular_values(tau[:, :, i : i + 1].copy(), t[i : i + 1])
+             for i in range(40)]
+    assert np.array_equal(_kernels.tau_singular_values(tau, t), np.concatenate(alone))
 
 
 def test_jacobi_zero_columns_give_zeros():
@@ -163,7 +219,7 @@ def test_jacobi_zero_columns_give_zeros():
     tau[:, 2, 2] = [0.0, 1.0, 1.0, 0.0]
     tau[:, 3, 2] = [0.0, 1.0, -1.0, 0.0]
     with np.errstate(divide="raise", over="raise", invalid="raise"):
-        sv = _kernels.tau_singular_values(tau)
+        sv = _kernels.tau_singular_values(tau, np.array([0.0, 6.0, 4.0]))
     np.testing.assert_array_equal(sv[0], np.zeros(4))
     np.testing.assert_allclose(sv[1], [np.sqrt(5.25), 0, 0, 0], rtol=1e-15)
     np.testing.assert_allclose(sv[2], [np.sqrt(2), np.sqrt(2), 0, 0], rtol=1e-15)
@@ -185,15 +241,18 @@ def test_gain_root_has_column_orthogonal_tau(rng):
             assert np.abs(off).max() <= 8 * _kernels._EPS * sv[0] ** 2
 
 
-def test_random_state_chunk_takes_two_sweeps(rng, monkeypatch):
-    # the gain root hands the Jacobi solver taus that are column-orthogonal
-    # up to rounding: one sweep with rotations, one without (an eigh root
-    # takes four or five on these draws)
-    monkeypatch.setattr(_kernels, "JACOBI_MAX_SWEEPS", 2)
-    for _ in range(3):
-        rho = states.random_density_matrix(rng).mat
-        gains, _ = _kernels.filter_gain_batch(rho, 0.0, *_random_batch(rng, _kernels.CHUNK))
+def test_gain_root_chunks_rarely_fall_back(rng, monkeypatch):
+    # gain_root hands the column-norm test taus that pass it: of a chunk of
+    # the search's random draws, a Werner state and three random states send
+    # at most 1% of the points to LAPACK (measured: none); an eigh root
+    # would send nearly all of them
+    rows = _svd_rows(monkeypatch)
+    rhos = [states.make_werner(0.8).mat] + [states.random_density_matrix(rng).mat for _ in range(3)]
+    for rho in rhos:
+        gains, _ = _kernels.filter_gain_batch(rho, 0.0, *_random_params(rng, _kernels.CHUNK))
         assert np.isfinite(gains).all()
+        assert sum(rows) <= 0.01 * _kernels.CHUNK
+        rows.clear()
 
 
 def _entangled_random(rng):
@@ -246,14 +305,6 @@ def test_gain_gradient_matches_central_differences(case, max_strength, rng):
         assert np.abs(grad - central).max() <= GRADIENT_TOL
 
 
-def test_jacobi_sweep_cap_raises(rng, monkeypatch):
-    # the shortest chunk that the Jacobi solver takes
-    monkeypatch.setattr(_kernels, "JACOBI_MAX_SWEEPS", 1)
-    rho = states.random_density_matrix(rng).mat
-    with pytest.raises(ConvergenceFailure):
-        _kernels.filter_gain_batch(rho, 0.1, *_random_batch(rng, _kernels.JACOBI_MIN_POINTS))
-
-
 def test_lapack_failure_is_convergence_failure(rng, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -275,8 +326,8 @@ def test_batched_gain_at_strong_filters_matches_40_digits(rng):
     # draw 491 at seed 999 (as in test_entanglement): filters of strength
     # 0.998 and 0.979; the expected value is the filtered state's
     # concurrence in 60-digit arithmetic, taking rho and the filter
-    # parameters as exact. Alone the point goes to LAPACK, in a chunk of
-    # JACOBI_MIN_POINTS to the Jacobi solver.
+    # parameters as exact. The point is evaluated alone and in a chunk of
+    # 256 points.
     draws = np.random.default_rng(999)
     for _ in range(492):
         rho = states.random_density_matrix(draws)
@@ -288,44 +339,55 @@ def test_batched_gain_at_strong_filters_matches_40_digits(rng):
         rho.mat, 0.0, [fa.strength], [fa.axis], [fb.strength], [fb.axis]
     )
     assert abs(gains[0] - 6.164472197178993e-06) < 1e-10
-    a, n, b, m = _random_batch(rng, _kernels.JACOBI_MIN_POINTS)
+    a, n, b, m = _random_batch(rng, 256)
     a[7], n[7], b[7], m[7] = fa.strength, fa.axis, fb.strength, fb.axis
     gains, _ = _kernels.filter_gain_batch(rho.mat, 0.0, a, n, b, m)
     assert abs(gains[7] - 6.164472197178993e-06) < 1e-10
 
 
 @pytest.mark.parametrize("case", list(JACOBI_CASES))
-def test_solver_routes_agree(case, rng):
-    # the same draws in a chunk one point short of the Jacobi solver and in
-    # one that takes it: the filtered state's concurrence before
+def test_solver_routes_agree(case, rng, monkeypatch):
+    # the column-norm route against LAPACK for every point of the same
+    # draws: t keeps its bits, and the filtered state's concurrence before
     # normalization, gain * t at c_in = 0, agrees within 8 eps t per point,
     # so the gain within 8 eps
-    k = _kernels.JACOBI_MIN_POINTS
+    k = 256
     for _ in range(4):
         rho = JACOBI_CASES[case](rng)
         a, n, b, m = _random_batch(rng, k)
         a[: k // 2] *= 0.999 / 0.98
-        g_jac, t_jac = _kernels.filter_gain_batch(rho, 0.0, a, n, b, m)
-        g_svd, t_svd = _kernels.filter_gain_batch(rho, 0.0, a[:-1], n[:-1], b[:-1], m[:-1])
-        assert np.array_equal(t_svd, t_jac[:-1])
-        assert np.isfinite(g_svd).all() and np.isfinite(g_jac).all()
-        assert np.all(np.abs(g_svd - g_jac[:-1]) <= 8 * _kernels._EPS)
+        g_col, t_col = _kernels.filter_gain_batch(rho, 0.0, a, n, b, m)
+        with monkeypatch.context() as patch:
+            patch.setattr(_kernels, "tau_singular_values",
+                          lambda tau, t: _kernels._svd(np.moveaxis(tau, -1, 0)))
+            g_svd, t_svd = _kernels.filter_gain_batch(rho, 0.0, a, n, b, m)
+        assert np.array_equal(t_svd, t_col)
+        assert np.isfinite(g_svd).all() and np.isfinite(g_col).all()
+        assert np.all(np.abs(g_svd - g_col) <= 8 * _kernels._EPS)
 
 
-@pytest.mark.parametrize("case", ["random", "singlet-uu"])
+@pytest.mark.parametrize("case", list(JACOBI_CASES))
 def test_lapack_chunk_equals_one_point_calls(case, rng):
-    # below JACOBI_MIN_POINTS a point's bits do not depend on its chunk
-    # mates; on the rank-2 state a pair of |d> projectors filters every
-    # fifth point out
+    # one route for every chunk length, short chunks included: the first
+    # 40 points and the last, each evaluated alone, have the same gain and
+    # t bits in batches of 40, 255, 256 and CHUNK + 1 points (whose last
+    # point is a chunk of its own). Half the points have strengths up to
+    # 0.999, and a pair of |d> projectors filters every fifth of the first
+    # 40 out where the state has no |dd> component.
+    k = _kernels.CHUNK + 1
     rho = JACOBI_CASES[case](rng)
-    a, n, b, m = _random_batch(rng, 40)
-    a[::5], n[::5], b[::5], m[::5] = 1.0, [0.0, 0.0, -1.0], 1.0, [0.0, 0.0, -1.0]
-    gains, ts = _kernels.filter_gain_batch(rho, 0.3, a, n, b, m)
-    assert np.isneginf(gains[::5]).all() == (case == "singlet-uu")
-    alone = [_kernels.filter_gain_batch(rho, 0.3, a[i:i + 1], n[i:i + 1], b[i:i + 1], m[i:i + 1])
-             for i in range(40)]
-    assert np.array_equal(gains, np.concatenate([g for g, _ in alone]))
-    assert np.array_equal(ts, np.concatenate([t for _, t in alone]))
+    a, n, b, m = _random_batch(rng, k)
+    a[1::2] *= 0.999 / 0.98
+    a[:40:5], n[:40:5], b[:40:5], m[:40:5] = 1.0, [0.0, 0.0, -1.0], 1.0, [0.0, 0.0, -1.0]
+    points = [*range(40), k - 1]
+    alone = np.array([_kernels.filter_gain_batch(rho, 0.3, a[i:i + 1], n[i:i + 1], b[i:i + 1], m[i:i + 1])
+                      for i in points])[:, :, 0]
+    assert np.isneginf(alone[:40:5, 0]).all() == (case != "random")
+    for length in (40, 255, 256, k):
+        gains, ts = _kernels.filter_gain_batch(rho, 0.3, a[:length], n[:length], b[:length], m[:length])
+        inside = [i for i in points if i < length]
+        assert np.array_equal(gains[inside], alone[: len(inside), 0])
+        assert np.array_equal(ts[inside], alone[: len(inside), 1])
 
 
 def test_threaded_certificate_is_identical_to_one_worker(monkeypatch):
