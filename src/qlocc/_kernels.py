@@ -25,6 +25,7 @@ import os
 import numpy as np
 
 from qlocc.errors import ConvergenceFailure, SpectrumError
+from qlocc.states import PAULI
 
 # the name manifests record for these kernels
 BACKEND = "python"
@@ -45,9 +46,8 @@ _EPS = float(np.finfo(np.float64).eps)
 # kron(sy, sy) is the real antidiagonal (-1, 1, 1, -1): applied to X it
 # reverses the rows and signs them
 _YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
-# the signs of l1 - l2 - l3 - l4, and sigma_x, sigma_y, sigma_z
+# the signs of l1 - l2 - l3 - l4
 _CONC_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
-_PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 # filter_gain_batch evaluates its points in chunks of this many, so the
 # temporaries of one chunk stay within a few MB; every chunk length takes
 # the same route, so a point's bits do not depend on its chunk
@@ -383,8 +383,8 @@ def filter_gain_gradient(x, c_in, a, n, b, m):
     r -= (2.0 * cnum / ts**2)[:, None, None] * zf.conj().swapaxes(1, 2)
     k = (x @ r).reshape(-1, 2, 2, 2, 2)  # K[(a b), (a' b')]
     grad = np.concatenate([
-        np.einsum("nabcd,dbn,kca->nk", k, fb, _PAULI).real / (1.0 + a)[:, None],
-        np.einsum("nabcd,can,kdb->nk", k, fa, _PAULI).real / (1.0 + b)[:, None],
+        np.einsum("nabcd,dbn,kca->nk", k, fb, PAULI).real / (1.0 + a)[:, None],
+        np.einsum("nabcd,can,kdb->nk", k, fa, PAULI).real / (1.0 + b)[:, None],
     ], axis=1)
     grad[(c <= 0.0) | (c >= 1.0)] = 0.0
     grad[~ok] = np.nan

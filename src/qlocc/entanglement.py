@@ -16,11 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qlocc import linalg
 from qlocc._kernels import concurrence4, lambdas, state_root
-from qlocc.states import DensityMatrix
+from qlocc.states import SY, DensityMatrix
 
-_YY = linalg.kron(linalg.SY, linalg.SY)
+_YY = np.kron(SY, SY)
 
 
 @dataclass(frozen=True)
@@ -41,7 +40,7 @@ def spin_flip_operator(o: np.ndarray) -> np.ndarray:
     """Tilde of an operator: sy O* sy for 2x2, (sy x sy) O* (sy x sy) for 4x4."""
     o = np.asarray(o, dtype=np.complex128)
     if o.shape == (2, 2):
-        return linalg.SY @ o.conj() @ linalg.SY
+        return SY @ o.conj() @ SY
     if o.shape == (4, 4):
         return _YY @ o.conj() @ _YY
     raise ValueError("expected a 2x2 or 4x4 operator")

@@ -13,12 +13,8 @@ class NotAState(QloccError, ValueError):
     """A matrix fails the density-matrix invariants beyond tolerance."""
 
 
-class NotHermitian(QloccError, ValueError):
-    """A matrix expected to be Hermitian is not, beyond tolerance."""
-
-
 class ConvergenceFailure(QloccError, ArithmeticError):
-    """An iterative eigenvalue reduction exceeded its sweep budget."""
+    """A LAPACK eigenvalue or singular-value solve did not converge."""
 
 
 class SpectrumError(QloccError, ArithmeticError):

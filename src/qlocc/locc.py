@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qlocc import linalg
 from qlocc._kernels import TOL_PROB
 from qlocc.entanglement import concurrence
 from qlocc.errors import DomainError, FilteredOut, NotAttained, NotPhysical
-from qlocc.states import DensityMatrix, PauliRep
+from qlocc.states import I2, SX, SY, SZ, DensityMatrix, PauliRep
 
 # normal form: largest marginal deviation from 1/2 (trace-normalized) at
 # which both marginals count as proportional to the identity, and the
@@ -39,7 +38,7 @@ class LocalFilter:
 
     def __post_init__(self):
         axis = np.asarray(self.axis, dtype=float).reshape(3)
-        if abs(np.linalg.norm(axis) - 1.0) > 1e-12:
+        if not abs(np.linalg.norm(axis) - 1.0) <= 1e-12:  # NaN fails too
             raise DomainError(f"filter axis {axis.tolist()} is not a unit vector")
         a = float(self.strength)
         nu = float(self.scale)
@@ -63,7 +62,7 @@ class LocalOperation:
         u = np.ascontiguousarray(self.unitary, dtype=np.complex128)
         if u.shape != (2, 2):
             raise DomainError("unitary must be 2x2")
-        if linalg.frobenius(u @ linalg.dagger(u) - linalg.I2) > 1e-10:
+        if not np.linalg.norm(u @ u.conj().T - I2) <= 1e-10:  # NaN fails too
             raise DomainError("operator factor is not unitary within 1e-10")
         object.__setattr__(self, "unitary", u)
 
@@ -82,15 +81,13 @@ class LoccOutcome:
 
 def filter_matrix(f: LocalFilter) -> np.ndarray:
     """The 2x2 positive matrix nu(1 + a n.sigma)."""
-    return f.scale * (linalg.I2 + f.strength * linalg.axis_dot_pauli(f.axis))
-
-
-def trivial_filter() -> LocalFilter:
-    return LocalFilter(strength=0.0, axis=_Z_AXIS, scale=1.0)
+    n = f.axis
+    return f.scale * (I2 + f.strength * (n[0] * SX + n[1] * SY + n[2] * SZ))
 
 
 def trivial_operation() -> LocalOperation:
-    return LocalOperation(unitary=linalg.I2.copy(), filter=trivial_filter())
+    identity = LocalFilter(strength=0.0, axis=_Z_AXIS, scale=1.0)
+    return LocalOperation(unitary=I2.copy(), filter=identity)
 
 
 def decompose_local_op(A: np.ndarray) -> LocalOperation:
@@ -105,8 +102,8 @@ def decompose_local_op(A: np.ndarray) -> LocalOperation:
     Degenerate s1 = s2 yields a = 0 with the canonical z axis.
     """
     A = np.ascontiguousarray(A, dtype=np.complex128)
-    if A.shape != (2, 2):
-        raise DomainError("operator must be 2x2")
+    if A.shape != (2, 2) or not np.isfinite(A).all():
+        raise DomainError("operator must be a finite 2x2 matrix")
     w, s, vh = np.linalg.svd(A)
     if s[0] > 1.0 + 1e-12:
         raise NotPhysical(f"largest singular value {s[0]:.12g} exceeds 1")
@@ -146,6 +143,12 @@ def compose_local_ops(second: LocalOperation, first: LocalOperation) -> LocalOpe
     return decompose_local_op(m)
 
 
+def _conjugate(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """(A x B) m (A x B)+ for 2x2 A, B and a 4x4 m."""
+    k = np.kron(a, b)
+    return k @ m @ k.conj().T
+
+
 def apply_local_pair(rho: DensityMatrix, opA: LocalOperation, opB: LocalOperation) -> LoccOutcome:
     """Apply A x B to a shared state, post-selecting on branch success.
 
@@ -153,8 +156,7 @@ def apply_local_pair(rho: DensityMatrix, opA: LocalOperation, opB: LocalOperatio
     Raises :class:`~qlocc.errors.FilteredOut` when the probability is at or
     below ``TOL_PROB`` (the branch removes all particles).
     """
-    K = linalg.kron(opA.matrix, opB.matrix)
-    raw = K @ rho.mat @ linalg.dagger(K)
+    raw = _conjugate(opA.matrix, opB.matrix, rho.mat)
     t = float(np.trace(raw).real)
     if t <= TOL_PROB:
         raise FilteredOut(f"branch probability {t:.3e} is at or below {TOL_PROB}")
@@ -180,7 +182,7 @@ def closed_form_t(rep: PauliRep, fA: LocalFilter, fB: LocalFilter) -> float:
 
 def predicted_concurrence(c_in: float, fA: LocalFilter, fB: LocalFilter, t: float) -> float:
     """Concurrence after filtering: mu^2 nu^2 (1-a^2)(1-b^2) / t * c_in."""
-    if t <= 0.0:
+    if not t > 0.0:  # NaN fails too
         raise DomainError(f"branch probability t={t} must be positive")
     a, nu = fA.strength, fA.scale
     b, mu = fB.strength, fB.scale
@@ -194,16 +196,13 @@ def random_unitary(rng: np.random.Generator) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_axis(rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(3)
-    return v / np.linalg.norm(v)
-
-
 def random_filter(rng: np.random.Generator, max_strength: float = 0.98) -> LocalFilter:
-    """Random invertible filter; scale drawn in (0.05, 1] of its maximum."""
+    """Random invertible filter; scale drawn in (0.05, 1] of its maximum,
+    axis uniform on the sphere."""
     a = max_strength * rng.random()
     nu = (0.05 + 0.95 * rng.random()) / (1.0 + a)
-    return LocalFilter(strength=a, axis=random_axis(rng), scale=nu)
+    v = rng.standard_normal(3)
+    return LocalFilter(strength=a, axis=v / np.linalg.norm(v), scale=nu)
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,16 +267,15 @@ def normal_form(rho: DensityMatrix) -> NormalForm:
     optimum (for example, a product state, or a rank-2 mixture of a Bell
     state and a product state, whose filters diverge).
     """
-    fa = linalg.I2.copy()
-    fb = linalg.I2.copy()
+    fa = I2.copy()
+    fb = I2.copy()
     tr_in = float(np.trace(rho.mat).real)
     for it in range(NF_MAX_ITER + 1):
-        k = linalg.kron(fa, fb)
-        cur = k @ rho.mat @ linalg.dagger(k)
+        cur = _conjugate(fa, fb, rho.mat)
         tr = float(np.trace(cur).real)
         ma, mb = _marginals(cur)
-        residual = max(float(np.abs(ma / tr - linalg.I2 / 2).max()),
-                       float(np.abs(mb / tr - linalg.I2 / 2).max()))
+        residual = max(float(np.abs(ma / tr - I2 / 2).max()),
+                       float(np.abs(mb / tr - I2 / 2).max()))
         if residual <= TOL_MARGINAL:
             trace = tr / tr_in
             return NormalForm(filter_a=fa, filter_b=fb, state=DensityMatrix(cur / tr),
@@ -286,5 +284,4 @@ def normal_form(rho: DensityMatrix) -> NormalForm:
         if it == NF_MAX_ITER:
             raise NotAttained(f"marginal residual {residual:.3e} after {it} iterations")
         fa = _balancing_filter(ma) @ fa
-        k = linalg.kron(fa, fb)
-        fb = _balancing_filter(_marginals(k @ rho.mat @ linalg.dagger(k))[1]) @ fb
+        fb = _balancing_filter(_marginals(_conjugate(fa, fb, rho.mat))[1]) @ fb

@@ -13,13 +13,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from qlocc import linalg
 from qlocc.errors import DomainError, TargetNotReached
-from qlocc.states import BELL_AMPS, make_werner
+from qlocc.states import BELL_AMPS, I2, SY, make_werner
 
 _PHI_PLUS_PROJ = np.outer(BELL_AMPS[3], BELL_AMPS[3].conj())
 # maps the singlet to (a phase times) Phi+, taking Werner to isotropic form
-_TO_PHI = linalg.kron(linalg.I2, linalg.SY)
+_TO_PHI = np.kron(I2, SY)
 
 
 def _cnot4(ctrl: int, tgt: int) -> np.ndarray:

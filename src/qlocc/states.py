@@ -11,7 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qlocc import linalg
 from qlocc.errors import DomainError, NotAState
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -29,7 +28,12 @@ SINGLET_PROJ = np.outer(SINGLET_AMPS, SINGLET_AMPS.conj())
 
 TOL_STATE = 1e-10
 
-_SIGMA = np.stack((linalg.I2,) + linalg.PAULI)
+# the Pauli matrices and the 2x2 identity, defined once for the package
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+SX, SY, SZ = PAULI
+I2 = np.eye(2, dtype=np.complex128)
+
+_SIGMA = np.stack((I2, SX, SY, SZ))
 # sigma_i x sigma_j at index 4i + j, with sigma_0 = 1
 _PAULI_PRODUCTS = np.einsum("iab,jcd->ijacbd", _SIGMA, _SIGMA).reshape(16, 4, 4)
 
@@ -73,7 +77,7 @@ class PureState:
     def __post_init__(self):
         a = np.ascontiguousarray(self.amps, dtype=np.complex128).reshape(4)
         nrm = float(np.sum(np.abs(a) ** 2))
-        if abs(nrm - 1.0) > 1e-12:
+        if not abs(nrm - 1.0) <= 1e-12:  # NaN fails too
             raise DomainError(f"state vector norm^2 = {nrm} is not 1")
         object.__setattr__(self, "amps", a)
 
@@ -92,7 +96,7 @@ def make_werner(F: float) -> DensityMatrix:
     F = float(F)
     if not 0.0 <= F <= 1.0:
         raise DomainError(f"Werner fidelity F={F} outside [0, 1]")
-    return DensityMatrix(F * SINGLET_PROJ + (1.0 - F) / 3.0 * (linalg.I4 - SINGLET_PROJ))
+    return DensityMatrix(F * SINGLET_PROJ + (1.0 - F) / 3.0 * (np.eye(4) - SINGLET_PROJ))
 
 
 def make_bell_diagonal(p) -> DensityMatrix:
@@ -117,14 +121,19 @@ def to_pauli(rho: DensityMatrix) -> PauliRep:
 def from_pauli(rep: PauliRep) -> DensityMatrix:
     """Reconstruct the density matrix; rejects non-PSD results.
 
-    Raises :class:`~qlocc.errors.NotAState` when the reconstruction has an
-    eigenvalue below -1e-10 (no silent clamping).
+    Raises :class:`~qlocc.errors.DomainError` for a non-finite coefficient
+    and :class:`~qlocc.errors.NotAState` when the reconstruction has an
+    eigenvalue below -1e-10 (no silent clamping). The reconstruction is a
+    real combination of Hermitian Pauli products, so it is Hermitian
+    exactly.
     """
     c = np.empty((4, 4))
     c[0, 0] = 1.0
     c[1:, 0], c[0, 1:], c[1:, 1:] = rep.alpha, rep.beta, rep.R
+    if not np.isfinite(c).all():
+        raise DomainError("Pauli coefficients must be finite")
     m = np.einsum("k,kij->ij", c.ravel(), _PAULI_PRODUCTS) / 4.0
-    w, _ = linalg.eig_hermitian(m)
+    w = np.linalg.eigvalsh(m)
     if w.min() < -TOL_STATE:
         raise NotAState(f"reconstruction has eigenvalue {w.min():.3e}")
     return DensityMatrix(m)
@@ -148,11 +157,13 @@ class StateReport:
 def validate(rho: DensityMatrix) -> StateReport:
     """Check Hermiticity, unit trace and positivity; never raises."""
     m = rho.mat
-    herm = linalg.frobenius(m - linalg.dagger(m))
+    herm = float(np.linalg.norm(m - m.conj().T))
     tr = abs(float(np.trace(m).real) - 1.0)
     # PSD is judged on the Hermitian part so the report stays meaningful
-    # even for inputs that already fail the first check
-    w = np.linalg.eigvalsh((m + linalg.dagger(m)) / 2.0)
+    # even for inputs that already fail the first check; a non-finite
+    # matrix has no spectrum, and its NaN fails the check
+    finite = np.isfinite(m).all()
+    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0) if finite else np.array([np.nan])
     ok = herm <= TOL_STATE and tr <= TOL_STATE and w.min() >= -TOL_STATE
     return StateReport(herm, tr, float(w.min()), ok)
 

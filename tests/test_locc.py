@@ -5,7 +5,7 @@ import sys
 import numpy as np
 import pytest
 
-from qlocc import linalg, states
+from qlocc import states
 from qlocc.entanglement import concurrence, invariant_ratios, lambda_spectrum
 from qlocc.errors import DomainError, FilteredOut, NotAttained, NotPhysical
 from qlocc.locc import (
@@ -24,7 +24,7 @@ from qlocc.locc import (
 )
 from qlocc.states import DensityMatrix, density_from_pure, make_werner, to_pauli
 
-from conftest import random_op
+from conftest import SY, random_op
 
 # the benchmark's independent references (they never import qlocc)
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -39,14 +39,14 @@ def _trace_t(rho, fa, fb):
     # independent evaluation of the probability as tr[(f_A^2 x f_B^2) rho]
     fa2 = filter_matrix(fa) @ filter_matrix(fa)
     fb2 = filter_matrix(fb) @ filter_matrix(fb)
-    return float(np.trace(linalg.kron(fa2, fb2) @ rho.mat).real)
+    return float(np.trace(np.kron(fa2, fb2) @ rho.mat).real)
 
 
 # --- filters ---
 
 def test_filter_matrix_trivial():
     np.testing.assert_array_equal(
-        filter_matrix(LocalFilter(strength=0.0, axis=Z, scale=1.0)), linalg.I2
+        filter_matrix(LocalFilter(strength=0.0, axis=Z, scale=1.0)), np.eye(2)
     )
 
 
@@ -89,15 +89,15 @@ def test_filter_annihilation_identity(rng):
         f = random_filter(rng)
         g = LocalFilter(strength=f.strength, axis=-f.axis, scale=f.scale)
         lhs = filter_matrix(f) @ filter_matrix(g)
-        rhs = f.scale**2 * (1.0 - f.strength**2) * linalg.I2
-        assert linalg.frobenius(lhs - rhs) < 1e-12
+        rhs = f.scale**2 * (1.0 - f.strength**2) * np.eye(2)
+        assert np.linalg.norm(lhs - rhs) < 1e-12
 
 
 # --- decomposition of arbitrary operators ---
 
 def test_decompose_positive_diagonal():
     op = decompose_local_op(np.diag([0.9, 0.3]).astype(complex))
-    np.testing.assert_allclose(op.unitary, linalg.I2, atol=1e-12)
+    np.testing.assert_allclose(op.unitary, np.eye(2), atol=1e-12)
     assert abs(op.filter.strength - 0.5) < 1e-12
     assert abs(op.filter.scale - 0.6) < 1e-12
     np.testing.assert_allclose(op.filter.axis, Z, atol=1e-12)
@@ -116,7 +116,7 @@ def test_decompose_random_contractions(rng):
         a = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         a /= np.linalg.svd(a, compute_uv=False)[0] * (1.0 + rng.random())
         op = decompose_local_op(a)
-        assert linalg.frobenius(a - op.matrix) < 1e-10
+        assert np.linalg.norm(a - op.matrix) < 1e-10
 
 
 def test_decompose_rejects_expansions():
@@ -129,6 +129,28 @@ def test_decompose_rejects_zero():
         decompose_local_op(np.zeros((2, 2)))
 
 
+NAN = float("nan")
+NON_FINITE = {
+    "filter-axis": lambda: LocalFilter(strength=0.3, axis=[NAN, 0.0, 1.0], scale=0.5),
+    "unitary": lambda: LocalOperation(unitary=np.full((2, 2), NAN),
+                                      filter=trivial_operation().filter),
+    "pure-state": lambda: states.PureState([NAN, 0.0, 0.0, 1.0]),
+    "pauli-nan": lambda: states.from_pauli(
+        states.PauliRep(alpha=[NAN, 0, 0], beta=[0, 0, 0], R=np.zeros((3, 3)))),
+    "pauli-inf": lambda: states.from_pauli(
+        states.PauliRep(alpha=[0, 0, 0], beta=[0, 0, 0], R=np.full((3, 3), np.inf))),
+    "operator": lambda: decompose_local_op(np.full((2, 2), NAN)),
+    "probability": lambda: predicted_concurrence(0.5, trivial_operation().filter,
+                                                 trivial_operation().filter, NAN),
+}
+
+
+@pytest.mark.parametrize("case", list(NON_FINITE))
+def test_non_finite_input_is_a_domain_error(case):
+    with pytest.raises(DomainError):
+        NON_FINITE[case]()
+
+
 def test_compose_matches_operator_product(rng):
     for _ in range(20):
         op1 = random_op(rng, 0.7)
@@ -138,7 +160,7 @@ def test_compose_matches_operator_product(rng):
         scale = np.linalg.svd(prod, compute_uv=False)[0]
         if scale > 1.0:
             prod = prod / scale
-        assert linalg.frobenius(combined.matrix - prod) < 1e-10
+        assert np.linalg.norm(combined.matrix - prod) < 1e-10
 
 
 # --- applying operation pairs ---
@@ -175,8 +197,8 @@ def test_apply_matches_closed_form_probability():
     fb = LocalFilter(strength=0.5, axis=Z, scale=2 / 3)
     out = apply_local_pair(
         rho,
-        LocalOperation(unitary=linalg.I2.copy(), filter=fa),
-        LocalOperation(unitary=linalg.I2.copy(), filter=fb),
+        LocalOperation(unitary=np.eye(2), filter=fa),
+        LocalOperation(unitary=np.eye(2), filter=fb),
     )
     # Werner form evaluated independently:
     # t = mu^2 nu^2 [(1+a^2)(1+b^2) + (4/3)(1-4F) a b n.m]
@@ -189,7 +211,7 @@ def test_apply_filtered_out():
     up_up = states.PureState(np.array([1.0, 0, 0, 0], dtype=complex))
     rho = density_from_pure(up_up)
     kill = LocalOperation(
-        unitary=linalg.I2.copy(),
+        unitary=np.eye(2),
         filter=LocalFilter(strength=1.0, axis=-Z, scale=0.5),
     )
     with pytest.raises(FilteredOut):
@@ -253,15 +275,15 @@ def test_scale_invariance_of_the_law(rng):
     fa, fb = random_filter(rng), random_filter(rng)
     out1 = apply_local_pair(
         rho,
-        LocalOperation(unitary=linalg.I2.copy(), filter=fa),
-        LocalOperation(unitary=linalg.I2.copy(), filter=fb),
+        LocalOperation(unitary=np.eye(2), filter=fa),
+        LocalOperation(unitary=np.eye(2), filter=fb),
     )
     shrunk_a = LocalFilter(strength=fa.strength, axis=fa.axis, scale=0.5 * fa.scale)
     shrunk_b = LocalFilter(strength=fb.strength, axis=fb.axis, scale=0.25 * fb.scale)
     out2 = apply_local_pair(
         rho,
-        LocalOperation(unitary=linalg.I2.copy(), filter=shrunk_a),
-        LocalOperation(unitary=linalg.I2.copy(), filter=shrunk_b),
+        LocalOperation(unitary=np.eye(2), filter=shrunk_a),
+        LocalOperation(unitary=np.eye(2), filter=shrunk_b),
     )
     assert np.abs(out1.state.mat - out2.state.mat).max() < 1e-12
     assert abs(out2.probability - out1.probability * 0.25 * 0.0625) < 1e-12
@@ -275,7 +297,7 @@ def test_eigenvector_transport(rng):
     count = 0
     while count < 20:
         rho = states.random_density_matrix(rng)
-        tilde = np.kron(linalg.SY, linalg.SY).real
+        tilde = np.kron(SY, SY).real
         prod = rho.mat @ (tilde @ rho.mat.conj() @ tilde)
         w, v = np.linalg.eig(prod)
         if np.min(np.abs(np.subtract.outer(w, w) + np.eye(4))) < 1e-3:
@@ -284,7 +306,7 @@ def test_eigenvector_transport(rng):
         op_a, op_b = random_op(rng, 0.9), random_op(rng, 0.9)
         out = apply_local_pair(rho, op_a, op_b)
         prod_out = out.state.mat @ (tilde @ out.state.mat.conj() @ tilde)
-        big = linalg.kron(op_a.matrix, op_b.matrix)
+        big = np.kron(op_a.matrix, op_b.matrix)
         fa, fb = op_a.filter, op_b.filter
         kappa = (
             (fa.scale * fb.scale) ** 2
@@ -326,8 +348,8 @@ def test_normal_form_of_werner_and_bell_diagonal_is_the_input(rng):
         assert nf.iterations == 0
         assert nf.trace == 1.0
         assert nf.optimum - concurrence(rho) == 0.0
-        np.testing.assert_array_equal(nf.filter_a, linalg.I2)
-        np.testing.assert_array_equal(nf.filter_b, linalg.I2)
+        np.testing.assert_array_equal(nf.filter_a, np.eye(2))
+        np.testing.assert_array_equal(nf.filter_b, np.eye(2))
 
 
 def test_normal_form_of_entangled_pure_state_is_maximally_entangled():
@@ -356,8 +378,8 @@ def test_normal_form_balances_marginals_and_keeps_invariants(rng):
         assert nf.residual <= 1e-14
         for f in (nf.filter_a, nf.filter_b):
             assert abs(np.linalg.det(f) - 1.0) < 1e-12
-        k = linalg.kron(nf.filter_a, nf.filter_b)
-        raw = k @ rho.mat @ linalg.dagger(k)
+        k = np.kron(nf.filter_a, nf.filter_b)
+        raw = k @ rho.mat @ k.conj().T
         assert abs(np.trace(raw).real - nf.trace) < 1e-12
         np.testing.assert_allclose(nf.state.mat, raw / nf.trace, atol=1e-12)
         assert abs(concurrence(nf.state) - nf.optimum) < 1e-12

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from qlocc import linalg, nogo, states
+from qlocc import nogo, states
 from qlocc.entanglement import concurrence, entanglement_of_formation
 from qlocc.errors import DomainError, NotEntangled
 from qlocc.locc import LocalFilter, LocalOperation, apply_local_pair, normal_form
@@ -140,13 +140,16 @@ def test_import_loads_no_scipy():
     src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
     env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
     code = ("import sys, qlocc; tops = [m.split('.')[0] for m in sys.modules]; "
-            "print(tops.count('scipy'), tops.count('concurrent'))")
+            "print(tops.count('scipy'), tops.count('concurrent'), "
+            "int('qlocc.linalg' in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, timeout=120, check=True).stdout
-    scipy_modules, concurrent_modules = map(int, out.split())
+    scipy_modules, concurrent_modules, linalg_modules = map(int, out.split())
     assert scipy_modules == 0
     # the batched kernel imports its thread pool only when a call needs one
     assert concurrent_modules == 0
+    # the package calls numpy directly; linalg.py is the benchmark's alone
+    assert linalg_modules == 0
 
 
 def test_werner_certificates_hold():
@@ -180,8 +183,8 @@ def test_search_finds_gain_when_one_exists():
     # the reported parameters actually realize the reported gain
     out = apply_local_pair(
         rho,
-        LocalOperation(unitary=linalg.I2.copy(), filter=cert.best_filter_a),
-        LocalOperation(unitary=linalg.I2.copy(), filter=cert.best_filter_b),
+        LocalOperation(unitary=np.eye(2), filter=cert.best_filter_a),
+        LocalOperation(unitary=np.eye(2), filter=cert.best_filter_b),
     )
     assert abs((concurrence(out.state) - cert.concurrence_in) - cert.best_gain) < 1e-9
     assert abs(out.probability - cert.probability) < 1e-12

@@ -85,6 +85,20 @@ def test_bell_diagonal_domain():
             make_bell_diagonal([bad, 0.0, 0.0, 1.0])
 
 
+def test_pauli_algebra_exact():
+    # sigma_i sigma_j = delta_ij 1 + i eps_ijk sigma_k, exactly
+    eps = np.zeros((3, 3, 3))
+    for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+        eps[i, j, k] = 1.0
+        eps[j, i, k] = -1.0
+    for i in range(3):
+        for j in range(3):
+            expected = (i == j) * states.I2 + 1j * sum(
+                eps[i, j, k] * states.PAULI[k] for k in range(3)
+            )
+            np.testing.assert_array_equal(states.PAULI[i] @ states.PAULI[j], expected)
+
+
 def test_pauli_rep_of_werner():
     f = 0.8
     rep = to_pauli(make_werner(f))
@@ -147,6 +161,8 @@ def test_validate_reports():
     rep = validate(DensityMatrix(m))
     assert not rep.ok
     assert abs(rep.min_eigenvalue + 0.05) < 1e-10
+    # a non-finite matrix fails, and LAPACK's convergence error does not leak
+    assert not validate(DensityMatrix(np.full((4, 4), np.nan))).ok
 
 
 def test_pure_state_normalization():
@@ -169,6 +185,8 @@ def test_density_matrix_json_rejects_bad_input():
         density_matrix_from_dict(
             {"matrix": [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(4)] for i in range(4)]}
         )
+    with pytest.raises(NotAState):
+        density_matrix_from_dict({"matrix": [[[float("nan"), 0.0]] * 4] * 4})
 
 
 def test_pauli_rep_json_round_trip():
