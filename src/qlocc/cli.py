@@ -218,15 +218,16 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("nogo", help="search for a concurrence gain; write a certificate")
     _add_state_flags(p)
-    p.add_argument("--restarts", type=int, default=64,
+    defaults = nogo.SearchConfig()
+    p.add_argument("--restarts", type=int, default=defaults.restarts,
                    help=f"random parameter draws, at most {nogo.MAX_STAGE_POINTS}")
-    p.add_argument("--grid-density", type=int, default=4,
+    p.add_argument("--grid-density", type=int, default=defaults.grid_density,
                    help="grid points per parameter; the grid's grid_density**6 points "
                         f"may not exceed {nogo.MAX_STAGE_POINTS}")
-    p.add_argument("--local-steps", type=int, default=400,
+    p.add_argument("--local-steps", type=int, default=defaults.local_steps,
                    help="iteration cap per quasi-Newton refinement")
-    p.add_argument("--seed", type=int, default=0, help="seed for all randomness")
-    p.add_argument("--tolerance", type=float, default=1e-7,
+    p.add_argument("--seed", type=int, default=defaults.seed, help="seed for all randomness")
+    p.add_argument("--tolerance", type=float, default=defaults.tolerance,
                    help="largest gain still counted as zero")
     p.add_argument("--out", metavar="PATH", help="write certificate JSON here")
     p.set_defaults(func=cmd_nogo)

@@ -56,10 +56,9 @@ from qlocc.states import (
 _REFINE_TOP = 6
 _U_RANGE = 8.0  # random draws of the stretched strength coordinate
 # quasi-Newton refinement: trial step lengths along each direction, and the
-# rounding-level stop thresholds
+# rounding-level improvement below which a start stops
 _ALPHAS = 0.25 ** np.arange(5)
 _IMPROVE_TOL = 1e-15
-_GRAD_TOL = 1e-10
 # The most points one search stage may hold: the grid's grid_density**6
 # (so grid_density <= 12) and the random stage's restarts. A stage takes
 # about 130 bytes per point, so both stages at this size stay near 1 GB and
@@ -108,8 +107,10 @@ class Certificate:
     """Best concurrence gain found by an exhaustive seeded search.
 
     ``evaluations`` counts the filter pairs whose gain the search computed:
-    the grid, the random draws and every refinement point. A refinement
-    point's gain comes with its exact gradient, at no extra evaluation.
+    the grid, the random draws and every refinement point, whose gain comes
+    with its exact gradient at no extra evaluation. A refinement start at a
+    stationary point (as a Werner state's identity filter) converges after
+    one iteration.
     """
 
     input_state: DensityMatrix
@@ -186,7 +187,7 @@ class _Refinement(NamedTuple):
     x: np.ndarray  # (k, d) end points
     value: np.ndarray  # (k,) objective at the end points
     iterations: np.ndarray  # (k,)
-    converged: np.ndarray  # (k,) stopped at a stationary point, not at the cap
+    converged: np.ndarray  # (k,) stopped as no step improved it by _IMPROVE_TOL
     evaluations: np.ndarray  # (k,)
 
 
@@ -200,11 +201,12 @@ def _quasi_newton(f, x0, max_iter):
     start's direction -H g, and the gradient at each start's best improving
     trial comes back with it. A start whose trials all fail to improve it by
     more than ``_IMPROVE_TOL`` retries once along -g with H reset to the
-    identity; failing again, or reaching a gradient with
-    max|g| <= ``_GRAD_TOL``, it has converged. A start also stops after
-    ``max_iter`` iterations, or (unconverged) at a non-finite gradient. So a
-    start uses at most 1 + max_iter len(_ALPHAS) evaluations, and a call
-    holds at most k len(_ALPHAS) points.
+    identity; failing again, it has converged. That is the only stop rule
+    of a converged start: a stationary start (g = 0) converges after one
+    iteration. A start also stops after ``max_iter`` iterations, or
+    (unconverged) at a non-finite gradient. So a start uses at most
+    1 + max_iter len(_ALPHAS) evaluations, and a call holds at most
+    k len(_ALPHAS) points.
     """
     k, d = x0.shape
     x = x0.copy()
@@ -213,9 +215,8 @@ def _quasi_newton(f, x0, max_iter):
     fresh = np.ones(k, dtype=bool)  # hess_inv is the identity
     iterations = np.zeros(k, dtype=int)
     evaluations = np.ones(k, dtype=int)
-    finite = np.isfinite(g).all(axis=1)
-    converged = finite & (np.abs(g).max(axis=1) <= _GRAD_TOL)
-    active = finite & ~converged
+    converged = np.zeros(k, dtype=bool)
+    active = np.isfinite(g).all(axis=1)
     while True:
         act = np.flatnonzero(active & (iterations < max_iter))
         if act.size == 0:
@@ -243,9 +244,7 @@ def _quasi_newton(f, x0, max_iter):
         y = g_new - g[moved]
         g[moved] = g_new
         finite = np.isfinite(g_new).all(axis=1)
-        flat = finite & (np.abs(g_new).max(axis=1) <= _GRAD_TOL)
-        active[moved[~finite | flat]] = False
-        converged[moved[flat]] = True
+        active[moved[~finite]] = False
         # update where the curvature condition holds; a fresh identity is
         # first scaled to s.y / y.y
         sy = np.einsum("ki,ki->k", s, y)
@@ -261,6 +260,18 @@ def _quasi_newton(f, x0, max_iter):
         fresh[moved] = False
 
 
+def _chart(x):
+    """Each row of ``x`` holds both parties' chart points u, whose filter
+    vector is v = s u with s = 1 / sqrt(1 + |u|^2). Returns the filter pairs
+    (a, n, b, m), strength |v| and axis u / |u| (z at u = 0), and s."""
+    u = x.reshape(-1, 2, 3)
+    norm = np.sqrt((u * u).sum(axis=-1, keepdims=True))
+    s = 1.0 / np.sqrt(1.0 + norm * norm)
+    a = (norm * s)[..., 0]
+    axes = np.where(norm > 0.0, u / np.where(norm > 0.0, norm, 1.0), [0.0, 0.0, 1.0])
+    return (a[:, 0], axes[:, 0], a[:, 1], axes[:, 1]), s
+
+
 def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certificate:
     """Search filter pairs for a concurrence increase; certify the maximum.
 
@@ -274,7 +285,9 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     and the input concurrence are computed once per search. The objective
     is the directly computed concurrence of the filtered state minus the
     input concurrence; no transformation-law shortcut is used, so the
-    certificate is independent of the law it corroborates.
+    certificate is independent of the law it corroborates. The best point
+    is the first largest gain of the grid, the random draws and the
+    refinements' end points, in that order.
 
     Deterministic: identical config (including seed) yields an identical
     certificate. Raises :class:`~qlocc.errors.NotEntangled` when the input
@@ -284,67 +297,48 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     if c_in <= 0.0:
         raise NotEntangled("input state has zero concurrence; nothing to gain or lose")
     rng = np.random.default_rng(cfg.seed)
-    evaluations = 0
-    best = {"gain": -np.inf, "a": 0.0, "n": np.array([0.0, 0.0, 1.0]),
-            "b": 0.0, "m": np.array([0.0, 0.0, 1.0]), "t": 1.0}
-
-    def _record(gains, ts, a_arr, n_arr, b_arr, m_arr):
-        nonlocal evaluations
-        evaluations += len(gains)
-        k = int(np.argmax(gains))
-        if gains[k] > best["gain"]:
-            best.update(gain=float(gains[k]), a=float(a_arr[k]), n=n_arr[k].copy(),
-                        b=float(b_arr[k]), m=m_arr[k].copy(), t=float(ts[k]))
-
-    def _consume(a_arr, n_arr, b_arr, m_arr):
-        gains, ts = _kernels.filter_gain_batch(rho.mat, c_in, a_arr, n_arr, b_arr, m_arr)
-        _record(gains, ts, a_arr, n_arr, b_arr, m_arr)
-        return gains
-
     grid = _grid_params(cfg.grid_density)
-    grid_gains = _consume(*grid)
+    grid_gains, grid_t = _kernels.filter_gain_batch(rho.mat, c_in, *grid)
     rand = _random_params(rng, cfg.restarts)
-    rand_gains = _consume(*rand)
+    rand_gains, rand_t = _kernels.filter_gain_batch(rho.mat, c_in, *rand)
 
     # refinement seeds: the best candidates across both pools (grid first),
     # as chart points u = v / sqrt(1 - |v|^2); only the chosen rows are gathered
-    top = _top_indices(np.concatenate([grid_gains, rand_gains]), _REFINE_TOP)
+    pooled = np.concatenate([grid_gains, rand_gains])
+    top = _top_indices(pooled, _REFINE_TOP)
     ng = len(grid_gains)
-    seeds = [(grid, i) if i < ng else (rand, i - ng) for i in top]
+    seeds = [((*grid, grid_t), i) if i < ng else ((*rand, rand_t), i - ng) for i in top]
     u0 = np.array([[a[i] * n[i] / math.sqrt(1.0 - a[i] ** 2),
-                    b[i] * m[i] / math.sqrt(1.0 - b[i] ** 2)] for (a, n, b, m), i in seeds])
+                    b[i] * m[i] / math.sqrt(1.0 - b[i] ** 2)] for (a, n, b, m, _), i in seeds])
     # the refinement's root, prepared once: its calls pay no eigh or svd of rho
     root = _kernels.gain_root(rho.mat)
 
     def neg_gains(x):
-        # each party's chart point u maps to the filter vector
-        # v = u / sqrt(1 + |u|^2), strength |v| and axis u / |u| (z at u = 0)
-        u = x.reshape(-1, 2, 3)
-        norm = np.sqrt((u * u).sum(axis=-1, keepdims=True))
-        s = 1.0 / np.sqrt(1.0 + norm * norm)
-        v = u * s
-        a = (norm * s)[..., 0]
-        axes = np.where(norm > 0.0, u / np.where(norm > 0.0, norm, 1.0), [0.0, 0.0, 1.0])
-        gains, ts, grad = _kernels.filter_gain_gradient(root, c_in, a[:, 0], axes[:, 0],
-                                                        a[:, 1], axes[:, 1])
-        _record(gains, ts, a[:, 0], axes[:, 0], a[:, 1], axes[:, 1])
+        params, s = _chart(x)
+        gains, _, grad = _kernels.filter_gain_gradient(root, c_in, *params)
         grad = grad.reshape(-1, 2, 3)
+        v = x.reshape(-1, 2, 3) * s
         # pulled back through dv/du = s (1 - v v^T)
         return -gains, -(s * (grad - v * (v * grad).sum(axis=-1, keepdims=True))).reshape(-1, 6)
 
-    _quasi_newton(neg_gains, u0.reshape(-1, 6), cfg.local_steps)
-
-    fa = LocalFilter(strength=best["a"], axis=best["n"], scale=1.0 / (1.0 + best["a"]))
-    fb = LocalFilter(strength=best["b"], axis=best["m"], scale=1.0 / (1.0 + best["b"]))
+    refinement = _quasi_newton(neg_gains, u0.reshape(-1, 6), cfg.local_steps)
+    # the end points' probabilities, from a repeat call left out of evaluations;
+    # a point's bits do not depend on its batch, so its gains are -refinement.value
+    end, _ = _chart(refinement.x)
+    end_gains, end_t, _ = _kernels.filter_gain_gradient(root, c_in, *end)
+    (a, n, b, m, t), i = seeds[0]  # the first best pooled point
+    gain, j = pooled[top[0]], int(np.argmax(end_gains))
+    if end_gains[j] > gain:
+        (a, n, b, m, t), i, gain = (*end, end_t), j, end_gains[j]
     return Certificate(
         input_state=rho,
         config=cfg,
         concurrence_in=float(c_in),
-        best_gain=float(best["gain"]),
-        best_filter_a=fa,
-        best_filter_b=fb,
-        probability=float(best["t"]),
-        evaluations=int(evaluations),
+        best_gain=float(gain),
+        best_filter_a=LocalFilter(strength=a[i], axis=n[i].copy(), scale=1.0 / (1.0 + a[i])),
+        best_filter_b=LocalFilter(strength=b[i], axis=m[i].copy(), scale=1.0 / (1.0 + b[i])),
+        probability=float(t[i]),
+        evaluations=len(pooled) + int(refinement.evaluations.sum()),
     )
 
 
@@ -398,6 +392,12 @@ class ScaleFactorRow:
     floor: float
 
 
+def _werner_floor(a, nu, b, mu):
+    """The probability floor mu^2 nu^2 [(1+a^2)(1+b^2) - (4/3) a b] of the
+    filters nu(1 + a n.sigma) and mu(1 + b m.sigma)."""
+    return (mu * nu) ** 2 * ((1.0 + a * a) * (1.0 + b * b) - (4.0 / 3.0) * a * b)
+
+
 def scale_factor_grid(F: float, grid_density: int = 100) -> ScaleFactorRow:
     """Grid evaluation of the Werner scale factor with worst-case bookkeeping.
 
@@ -421,9 +421,8 @@ def scale_factor_grid(F: float, grid_density: int = 100) -> ScaleFactorRow:
     a, b = float(vals[ai]), float(vals[bi])
     nu, mu = 1.0 / (1.0 + a), 1.0 / (1.0 + b)
     t_worst = (mu * nu) ** 2 * float(den[ai, bi, ui])
-    floor = (mu * nu) ** 2 * ((1.0 + a * a) * (1.0 + b * b) - (4.0 / 3.0) * a * b)
     return ScaleFactorRow(F=F, max_factor=float(factor.ravel()[k]),
-                          t_worst_case=t_worst, floor=floor)
+                          t_worst_case=t_worst, floor=_werner_floor(a, nu, b, mu))
 
 
 @dataclass(frozen=True)
@@ -444,9 +443,7 @@ def probability_floor(F: float, fA: LocalFilter, fB: LocalFilter) -> FloorCheck:
     ``holds``.
     """
     t = closed_form_t(to_pauli(make_werner(F)), fA, fB)
-    a, nu = fA.strength, fA.scale
-    b, mu = fB.strength, fB.scale
-    floor = (mu * nu) ** 2 * ((1.0 + a * a) * (1.0 + b * b) - (4.0 / 3.0) * a * b)
+    floor = _werner_floor(fA.strength, fA.scale, fB.strength, fB.scale)
     return FloorCheck(t=float(t), floor=float(floor), holds=t >= floor - 1e-12)
 
 

@@ -40,7 +40,8 @@ _PAULI_PRODUCTS = np.einsum("iab,jcd->ijacbd", _SIGMA, _SIGMA).reshape(16, 4, 4)
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
-    """A two-qubit density matrix: Hermitian, unit trace, PSD 4x4 matrix."""
+    """A two-qubit density matrix: Hermitian, unit trace, PSD 4x4 matrix.
+    Construction checks its shape, and raises ``NotAState`` unless finite."""
 
     mat: np.ndarray
 
@@ -48,6 +49,8 @@ class DensityMatrix:
         m = np.ascontiguousarray(self.mat, dtype=np.complex128)
         if m.shape != (4, 4):
             raise DomainError("density matrix must be 4x4")
+        if not np.isfinite(m).all():
+            raise NotAState("density matrix has a non-finite entry")
         object.__setattr__(self, "mat", m)
 
 
@@ -56,6 +59,7 @@ class PauliRep:
     """Bloch-style decomposition: local vectors alpha, beta and the 3x3
     correlation matrix R, so that
     rho = (1/4)[1 + alpha.sigma x 1 + 1 x beta.sigma + R_ij sigma_i x sigma_j].
+    Raises :class:`~qlocc.errors.DomainError` for a non-finite coefficient.
     """
 
     alpha: np.ndarray
@@ -63,9 +67,11 @@ class PauliRep:
     R: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float).reshape(3))
-        object.__setattr__(self, "beta", np.asarray(self.beta, dtype=float).reshape(3))
-        object.__setattr__(self, "R", np.asarray(self.R, dtype=float).reshape(3, 3))
+        for name, shape in (("alpha", 3), ("beta", 3), ("R", (3, 3))):
+            value = np.asarray(getattr(self, name), dtype=float).reshape(shape)
+            if not np.isfinite(value).all():
+                raise DomainError("Pauli coefficients must be finite")
+            object.__setattr__(self, name, value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -121,8 +127,7 @@ def to_pauli(rho: DensityMatrix) -> PauliRep:
 def from_pauli(rep: PauliRep) -> DensityMatrix:
     """Reconstruct the density matrix; rejects non-PSD results.
 
-    Raises :class:`~qlocc.errors.DomainError` for a non-finite coefficient
-    and :class:`~qlocc.errors.NotAState` when the reconstruction has an
+    Raises :class:`~qlocc.errors.NotAState` when the reconstruction has an
     eigenvalue below -1e-10 (no silent clamping). The reconstruction is a
     real combination of Hermitian Pauli products, so it is Hermitian
     exactly.
@@ -130,8 +135,6 @@ def from_pauli(rep: PauliRep) -> DensityMatrix:
     c = np.empty((4, 4))
     c[0, 0] = 1.0
     c[1:, 0], c[0, 1:], c[1:, 1:] = rep.alpha, rep.beta, rep.R
-    if not np.isfinite(c).all():
-        raise DomainError("Pauli coefficients must be finite")
     m = np.einsum("k,kij->ij", c.ravel(), _PAULI_PRODUCTS) / 4.0
     w = np.linalg.eigvalsh(m)
     if w.min() < -TOL_STATE:
@@ -160,10 +163,8 @@ def validate(rho: DensityMatrix) -> StateReport:
     herm = float(np.linalg.norm(m - m.conj().T))
     tr = abs(float(np.trace(m).real) - 1.0)
     # PSD is judged on the Hermitian part so the report stays meaningful
-    # even for inputs that already fail the first check; a non-finite
-    # matrix has no spectrum, and its NaN fails the check
-    finite = np.isfinite(m).all()
-    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0) if finite else np.array([np.nan])
+    # even for inputs that already fail the first check
+    w = np.linalg.eigvalsh((m + m.conj().T) / 2.0)
     ok = herm <= TOL_STATE and tr <= TOL_STATE and w.min() >= -TOL_STATE
     return StateReport(herm, tr, float(w.min()), ok)
 

@@ -171,6 +171,18 @@ def test_nogo_budget_beyond_stage_cap_is_usage_error(capsys):
         assert err.startswith("error: ") and "search stage" in err
 
 
+def test_non_finite_state_file_is_validation_error(capsys, tmp_path):
+    doc = density_matrix_to_dict(make_werner(0.8))
+    doc["matrix"][0][1] = [float("nan"), 0.0]
+    path = tmp_path / "nan.json"
+    path.write_text(json.dumps(doc))
+    for command in ("measure", "nogo"):
+        code, out, err = _run(capsys, [command, "--state", str(path)])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "non-finite" in err
+
+
 def test_nogo_unentangled_input(capsys):
     code, _, err = _run(capsys, ["nogo", "--werner", "0.4"])
     assert code == 2

@@ -139,6 +139,9 @@ NON_FINITE = {
         states.PauliRep(alpha=[NAN, 0, 0], beta=[0, 0, 0], R=np.zeros((3, 3)))),
     "pauli-inf": lambda: states.from_pauli(
         states.PauliRep(alpha=[0, 0, 0], beta=[0, 0, 0], R=np.full((3, 3), np.inf))),
+    "closed-form-t": lambda: closed_form_t(
+        states.PauliRep(alpha=[0, 0, 0], beta=[0, 0, 0], R=np.full((3, 3), NAN)),
+        trivial_operation().filter, trivial_operation().filter),
     "operator": lambda: decompose_local_op(np.full((2, 2), NAN)),
     "probability": lambda: predicted_concurrence(0.5, trivial_operation().filter,
                                                  trivial_operation().filter, NAN),

@@ -37,7 +37,7 @@ from qlocc.states import (
 )
 
 from conftest import random_op
-from test_acceptance import BELL_CONFIG
+from test_acceptance import BELL_CONFIG, WERNER_CONFIG
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -60,6 +60,10 @@ def test_certificate_counts_evaluations():
     # carry their gradients
     assert cert.evaluations <= (SMALL.grid_density**6 + SMALL.restarts
                                 + _REFINE_TOP * (1 + SMALL.local_steps * len(_ALPHAS)))
+    # a Werner state's starts are identity filters, where the gain is
+    # stationary: each converges after one iteration of trial steps
+    assert cert.evaluations == (SMALL.grid_density**6 + SMALL.restarts
+                                + _REFINE_TOP * (1 + len(_ALPHAS)))
 
 
 @pytest.mark.parametrize("size", [1, 5, 6, 7, 40, 3000])
@@ -134,6 +138,33 @@ def test_bell_diagonal_refinements_converge(rng, monkeypatch):
     for res in results:
         assert res.converged.all()
         assert np.all(res.iterations < SMALL.local_steps)
+
+
+def test_best_gain_is_the_refinements_best_end_point(monkeypatch):
+    # on a gain-admitting state the refinement beats the grid and the draws,
+    # and the certificate reports its best end point's gain bit for bit
+    results = []
+
+    def recording(f, x0, max_iter):
+        results.append(_quasi_newton(f, x0, max_iter))
+        return results[-1]
+
+    monkeypatch.setattr(nogo, "_quasi_newton", recording)
+    cert = maximize_concurrence_gain(_power_states(7, 1)[0][0], SMALL)
+    assert cert.best_gain == -results[0].value.min()
+
+
+def test_search_reaches_a_supremum_at_strength_one():
+    # 0.6 singlet + 0.4 |uu>: filtering toward |dd> on both sides drives the
+    # state toward the singlet, so the gain's supremum 0.4 is approached only
+    # as both strengths tend to 1, where the chart flattens the gain's slope
+    # in u as (1 - a)^2.5; a refinement must not stop there while its steps
+    # still improve the gain
+    rho = DensityMatrix(0.6 * states.SINGLET_PROJ + 0.4 * np.diag([1.0, 0.0, 0.0, 0.0]))
+    for cfg in (SearchConfig(seed=0, **BELL_CONFIG), SearchConfig(),
+                SearchConfig(seed=1000, **WERNER_CONFIG)):
+        cert = maximize_concurrence_gain(rho, cfg)
+        assert abs(cert.best_gain - 0.4) <= 1e-12, (cfg, cert.best_gain)
 
 
 def test_import_loads_no_scipy():

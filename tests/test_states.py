@@ -161,8 +161,17 @@ def test_validate_reports():
     rep = validate(DensityMatrix(m))
     assert not rep.ok
     assert abs(rep.min_eigenvalue + 0.05) < 1e-10
-    # a non-finite matrix fails, and LAPACK's convergence error does not leak
-    assert not validate(DensityMatrix(np.full((4, 4), np.nan))).ok
+
+
+def test_non_finite_matrix_is_not_a_state():
+    # rejected at construction, so to_pauli, fidelity, concurrence and
+    # validate no longer answer NaN or a LAPACK error for it
+    one_nan = make_werner(0.8).mat.copy()
+    one_nan[0, 1] = np.nan
+    for m in (np.full((4, 4), np.nan), np.full((4, 4), np.inf), one_nan):
+        for call in (to_pauli, fidelity, concurrence, validate):
+            with pytest.raises(NotAState, match="non-finite"):
+                call(DensityMatrix(m))
 
 
 def test_pure_state_normalization():
