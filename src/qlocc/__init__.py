@@ -37,8 +37,6 @@ from qlocc.nogo import (
     probability_floor,
     procrustean_pure,
     randomization_convexity_check,
-    scale_factor_bound_check,
-    werner_twirl,
 )
 from qlocc.protocols import RecurrenceTrace, collective_step, iterate_to_target
 from qlocc.states import (
@@ -87,9 +85,7 @@ __all__ = [
     "probability_floor",
     "procrustean_pure",
     "randomization_convexity_check",
-    "scale_factor_bound_check",
     "spin_flip",
     "to_pauli",
     "validate",
-    "werner_twirl",
 ]

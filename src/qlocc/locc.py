@@ -129,20 +129,6 @@ def decompose_local_op(A: np.ndarray) -> LocalOperation:
     return LocalOperation(unitary=u, filter=f)
 
 
-def compose_local_ops(second: LocalOperation, first: LocalOperation) -> LocalOperation:
-    """Composite of two branch operators, re-expressed as unitary * filter.
-
-    Rescales the product so its largest singular value is at most 1; the
-    overall scale of a branch operator only affects the success
-    probability, never the post-selected state.
-    """
-    m = second.matrix @ first.matrix
-    smax = np.linalg.svd(m, compute_uv=False)[0]
-    if smax > 1.0:
-        m = m / smax
-    return decompose_local_op(m)
-
-
 def _conjugate(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
     """(A x B) m (A x B)+ for 2x2 A, B and a 4x4 m."""
     k = np.kron(a, b)
@@ -187,22 +173,6 @@ def predicted_concurrence(c_in: float, fA: LocalFilter, fB: LocalFilter, t: floa
     a, nu = fA.strength, fA.scale
     b, mu = fB.strength, fB.scale
     return (mu * mu) * (nu * nu) * (1.0 - a * a) * (1.0 - b * b) / t * c_in
-
-
-def random_unitary(rng: np.random.Generator) -> np.ndarray:
-    """Haar-random 2x2 unitary (QR of a Ginibre sample, phase-fixed)."""
-    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    q, r = np.linalg.qr(g)
-    return q * (np.diag(r) / np.abs(np.diag(r)))
-
-
-def random_filter(rng: np.random.Generator, max_strength: float = 0.98) -> LocalFilter:
-    """Random invertible filter; scale drawn in (0.05, 1] of its maximum,
-    axis uniform on the sphere."""
-    a = max_strength * rng.random()
-    nu = (0.05 + 0.95 * rng.random()) / (1.0 + a)
-    v = rng.standard_normal(3)
-    return LocalFilter(strength=a, axis=v / np.linalg.norm(v), scale=nu)
 
 
 @dataclass(frozen=True, eq=False)

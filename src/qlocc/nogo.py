@@ -48,7 +48,6 @@ from qlocc.states import (
     PureState,
     density_from_pure,
     density_matrix_to_dict,
-    fidelity,
     make_werner,
     to_pauli,
 )
@@ -79,7 +78,7 @@ class SearchConfig:
     three budgets must be positive integers (not bools), and neither
     ``restarts`` nor ``grid_density**6`` may exceed ``MAX_STAGE_POINTS``
     (4,000,000), checked before anything is allocated. All randomness flows
-    from ``seed``.
+    from ``seed``, a non-negative integer (not a bool).
     """
 
     restarts: int = 64
@@ -89,10 +88,11 @@ class SearchConfig:
     tolerance: float = 1e-7
 
     def __post_init__(self):
-        for name in ("restarts", "grid_density", "local_steps"):
+        for name, least in (("restarts", 1), ("grid_density", 1), ("local_steps", 1), ("seed", 0)):
             value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-                raise DomainError(f"{name} must be a positive integer, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+                kind = "positive" if least else "non-negative"
+                raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
         for name, points in (("grid_density**6", int(self.grid_density) ** 6),
                              ("restarts", int(self.restarts))):
             if points > MAX_STAGE_POINTS:
@@ -373,14 +373,6 @@ def certificate_to_dict(cert: Certificate) -> dict:
     }
 
 
-def scale_factor_bound_check(F: float, grid_density: int = 100) -> float:
-    """Maximum of (1-a^2)(1-b^2) / [(1+a^2)(1+b^2) + (4/3)(1-4F) a b u]
-    over a dense (a, b, u = n.m) grid; at most 1 for entangled Werner input.
-    """
-    row = scale_factor_grid(F, grid_density)
-    return row.max_factor
-
-
 @dataclass(frozen=True)
 class ScaleFactorRow:
     """One sweep row: worst-case concurrence scale factor and the branch
@@ -447,17 +439,6 @@ def probability_floor(F: float, fA: LocalFilter, fB: LocalFilter) -> FloorCheck:
     return FloorCheck(t=float(t), floor=float(floor), holds=t >= floor - 1e-12)
 
 
-def probability_floor_sequence(
-    fA: LocalFilter, fB: LocalFilter, k_max: int = 20
-) -> list[tuple[float, FloorCheck]]:
-    """Floor checks along the sequence F = 1/2 + 2^-k, k = 1..k_max."""
-    out = []
-    for k in range(1, k_max + 1):
-        F = 0.5 + 2.0 ** (-k)
-        out.append((F, probability_floor(F, fA, fB)))
-    return out
-
-
 @dataclass(frozen=True, eq=False)
 class ProcrusteanResult:
     """Single-copy pure-state purification outcome."""
@@ -510,8 +491,3 @@ def randomization_convexity_check(states, weights) -> bool:
     lhs = entanglement_of_formation(mixed)
     rhs = float(sum(wi * entanglement_of_formation(s) for wi, s in zip(w, states)))
     return lhs <= rhs + 1e-10
-
-
-def werner_twirl(rho: DensityMatrix) -> DensityMatrix:
-    """Randomize a state into the Werner family with the same singlet overlap."""
-    return make_werner(min(1.0, max(0.0, fidelity(rho))))

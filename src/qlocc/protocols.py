@@ -3,8 +3,8 @@
 A joint step on two shared Werner pairs (bilateral CNOT, measurement of
 the second pair, keep on agreeing outcomes, twirl back to Werner form)
 strictly increases fidelity everywhere on (1/2, 1), which no single-copy
-operation can do. The step is realized as a literal 16x16 simulation; a
-closed-form recurrence implemented independently cross-checks it.
+operation can do. The step is realized as a literal 16x16 simulation; the
+tests cross-check it against the closed-form recurrence.
 """
 
 from __future__ import annotations
@@ -58,17 +58,6 @@ def collective_step(F: float) -> tuple[float, float]:
     p_succ = float(np.trace(kept).real)
     reduced = np.einsum("abcdefcd->abef", kept.reshape([2] * 8)).reshape(4, 4) / p_succ
     f_prime = float(np.trace(reduced @ _PHI_PLUS_PROJ).real)
-    return f_prime, p_succ
-
-
-def collective_step_closed_form(F: float) -> tuple[float, float]:
-    """Independent closed form of the same recurrence step."""
-    F = float(F)
-    if not 0.5 < F < 1.0:
-        raise DomainError(f"recurrence input fidelity F={F} must lie in (1/2, 1)")
-    rest = (1.0 - F) / 3.0
-    p_succ = F * F + 2.0 * F * rest + 5.0 * rest * rest
-    f_prime = (F * F + rest * rest) / p_succ
     return f_prime, p_succ
 
 

@@ -169,29 +169,6 @@ def validate(rho: DensityMatrix) -> StateReport:
     return StateReport(herm, tr, float(w.min()), ok)
 
 
-def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
-    """Random full-rank state from the Hilbert-Schmidt ensemble."""
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = g @ g.conj().T
-    return DensityMatrix(m / np.trace(m).real)
-
-
-def random_pure_state(rng: np.random.Generator) -> PureState:
-    """Haar-random two-qubit state vector."""
-    a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    return PureState(a / np.linalg.norm(a))
-
-
-def random_entangled_bell_diagonal(rng: np.random.Generator) -> DensityMatrix:
-    """Random Bell-diagonal state with a dominant component above 1/2."""
-    top = 0.5 + 0.5 * rng.random()
-    rest = rng.random(3)
-    rest = (1.0 - top) * rest / rest.sum()
-    p = np.concatenate([[top], rest])
-    rng.shuffle(p)
-    return make_bell_diagonal(p)
-
-
 # --- JSON forms: complex entries as [re, im] pairs ---
 
 def _c2pair(z: complex) -> list[float]:
@@ -206,7 +183,7 @@ def density_matrix_from_dict(d: dict) -> DensityMatrix:
     try:
         rows = d["matrix"]
         m = np.array([[complex(c[0], c[1]) for c in row] for row in rows])
-    except (KeyError, TypeError, IndexError) as exc:
+    except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise DomainError(f"malformed density-matrix JSON: {exc}") from exc
     rho = DensityMatrix(m)
     rep = validate(rho)
@@ -225,10 +202,3 @@ def pauli_rep_to_dict(rep: PauliRep) -> dict:
         "beta": [float(x) for x in rep.beta],
         "R": [[float(x) for x in row] for row in rep.R],
     }
-
-
-def pauli_rep_from_dict(d: dict) -> PauliRep:
-    try:
-        return PauliRep(d["alpha"], d["beta"], d["R"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"malformed Pauli-representation JSON: {exc}") from exc

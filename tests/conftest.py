@@ -1,9 +1,14 @@
-"""Shared helpers for the test suite."""
+"""Shared helpers of the test suite: the random generators its seeded
+tests draw from, reference oracles and fixtures."""
 
 import numpy as np
 import pytest
 
-from qlocc import _kernels, locc, states
+from qlocc import _kernels
+from qlocc.errors import DomainError
+from qlocc.locc import LocalFilter, LocalOperation, decompose_local_op
+from qlocc.nogo import FloorCheck, probability_floor
+from qlocc.states import DensityMatrix, PureState, fidelity, make_bell_diagonal, make_werner
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -109,11 +114,90 @@ def svd_fails_on_stacks(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", fail)
 
 
+# --- random generators: the draws of every seeded test ---
+
+def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
+    """Random full-rank state from the Hilbert-Schmidt ensemble."""
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    m = g @ g.conj().T
+    return DensityMatrix(m / np.trace(m).real)
+
+
+def random_pure_state(rng: np.random.Generator) -> PureState:
+    """Haar-random two-qubit state vector."""
+    a = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+    return PureState(a / np.linalg.norm(a))
+
+
+def random_entangled_bell_diagonal(rng: np.random.Generator) -> DensityMatrix:
+    """Random Bell-diagonal state with a dominant component above 1/2."""
+    top = 0.5 + 0.5 * rng.random()
+    rest = rng.random(3)
+    rest = (1.0 - top) * rest / rest.sum()
+    p = np.concatenate([[top], rest])
+    rng.shuffle(p)
+    return make_bell_diagonal(p)
+
+
+def random_unitary(rng: np.random.Generator) -> np.ndarray:
+    """Haar-random 2x2 unitary (QR of a Ginibre sample, phase-fixed)."""
+    g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+    q, r = np.linalg.qr(g)
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+def random_filter(rng: np.random.Generator, max_strength: float = 0.98) -> LocalFilter:
+    """Random invertible filter; scale drawn in (0.05, 1] of its maximum,
+    axis uniform on the sphere."""
+    a = max_strength * rng.random()
+    nu = (0.05 + 0.95 * rng.random()) / (1.0 + a)
+    v = rng.standard_normal(3)
+    return LocalFilter(strength=a, axis=v / np.linalg.norm(v), scale=nu)
+
+
 def random_op(rng, max_strength=0.98):
-    return locc.LocalOperation(
-        unitary=locc.random_unitary(rng), filter=locc.random_filter(rng, max_strength)
-    )
+    return LocalOperation(unitary=random_unitary(rng), filter=random_filter(rng, max_strength))
 
 
-def random_state(rng):
-    return states.random_density_matrix(rng)
+# --- reference oracles and helpers ---
+
+def compose_local_ops(second: LocalOperation, first: LocalOperation) -> LocalOperation:
+    """Composite of two branch operators, re-expressed as unitary * filter.
+
+    Rescales the product so its largest singular value is at most 1; the
+    overall scale of a branch operator only affects the success
+    probability, never the post-selected state.
+    """
+    m = second.matrix @ first.matrix
+    smax = np.linalg.svd(m, compute_uv=False)[0]
+    if smax > 1.0:
+        m = m / smax
+    return decompose_local_op(m)
+
+
+def collective_step_closed_form(F: float) -> tuple[float, float]:
+    """Independent closed form of the recurrence step of
+    :func:`qlocc.protocols.collective_step`."""
+    F = float(F)
+    if not 0.5 < F < 1.0:
+        raise DomainError(f"recurrence input fidelity F={F} must lie in (1/2, 1)")
+    rest = (1.0 - F) / 3.0
+    p_succ = F * F + 2.0 * F * rest + 5.0 * rest * rest
+    f_prime = (F * F + rest * rest) / p_succ
+    return f_prime, p_succ
+
+
+def probability_floor_sequence(
+    fA: LocalFilter, fB: LocalFilter, k_max: int = 20
+) -> list[tuple[float, FloorCheck]]:
+    """Floor checks along the sequence F = 1/2 + 2^-k, k = 1..k_max."""
+    out = []
+    for k in range(1, k_max + 1):
+        F = 0.5 + 2.0 ** (-k)
+        out.append((F, probability_floor(F, fA, fB)))
+    return out
+
+
+def werner_twirl(rho: DensityMatrix) -> DensityMatrix:
+    """Randomize a state into the Werner family with the same singlet overlap."""
+    return make_werner(min(1.0, max(0.0, fidelity(rho))))

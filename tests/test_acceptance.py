@@ -21,19 +21,26 @@ from qlocc.locc import (
     apply_local_pair,
     closed_form_t,
     predicted_concurrence,
-    random_filter,
-    random_unitary,
 )
 from qlocc.nogo import (
     SearchConfig,
     certificate_to_dict,
     maximize_concurrence_gain,
-    probability_floor_sequence,
     procrustean_pure,
     randomization_convexity_check,
 )
-from qlocc.protocols import collective_step, collective_step_closed_form
+from qlocc.protocols import collective_step
 from qlocc.states import make_werner, to_pauli
+
+from conftest import (
+    collective_step_closed_form,
+    probability_floor_sequence,
+    random_density_matrix,
+    random_entangled_bell_diagonal,
+    random_filter,
+    random_pure_state,
+    random_unitary,
+)
 
 Z = np.array([0.0, 0.0, 1.0])
 
@@ -79,7 +86,7 @@ def test_criterion_02_transformation_law():
         rng = np.random.default_rng(2)
         worst = 0.0
         for _ in range(10_000):
-            rho = states.random_density_matrix(rng)
+            rho = random_density_matrix(rng)
             op_a = LocalOperation(unitary=random_unitary(rng), filter=random_filter(rng))
             op_b = LocalOperation(unitary=random_unitary(rng), filter=random_filter(rng))
             out = apply_local_pair(rho, op_a, op_b)
@@ -95,7 +102,7 @@ def test_criterion_03_closed_form_normalization():
         rng = np.random.default_rng(3)
         worst = 0.0
         for _ in range(10_000):
-            rho = states.random_density_matrix(rng)
+            rho = random_density_matrix(rng)
             fa, fb = random_filter(rng), random_filter(rng)
             t_closed = closed_form_t(to_pauli(rho), fa, fb)
             out = apply_local_pair(
@@ -125,7 +132,7 @@ def test_criterion_04_main_theorem_certificates(werner_certificates):
             assert cert.evaluations >= 100_000, f"budget at F={f}: {cert.evaluations}"
             assert cert.best_gain <= GAIN_TOL, f"gain {cert.best_gain:.3e} at F={f}"
         rng = np.random.default_rng(4)
-        candidates = [states.random_entangled_bell_diagonal(rng) for _ in range(200)]
+        candidates = [random_entangled_bell_diagonal(rng) for _ in range(200)]
         bell_states = [r for r in candidates if _kernels.concurrence4(r.mat) > 1e-3][:100]
         assert len(bell_states) == 100
         for i, rho in enumerate(bell_states):
@@ -140,7 +147,7 @@ def test_criterion_05_invariant_ratios():
         checked = 0
         worst = 0.0
         while checked < 1000:
-            rho = states.random_density_matrix(rng)
+            rho = random_density_matrix(rng)
             lam = lambda_spectrum(rho).lambdas
             if min(abs(lam[i] - lam[i + 1]) for i in range(3)) < 1e-3:
                 continue
@@ -171,7 +178,7 @@ def test_criterion_07_pure_state_contrast():
         rng = np.random.default_rng(7)
         done = 0
         while done < 1000:
-            psi = states.random_pure_state(rng)
+            psi = random_pure_state(rng)
             amp = psi.amps.reshape(2, 2)
             if np.linalg.svd(amp, compute_uv=False)[1] < 1e-6:
                 continue

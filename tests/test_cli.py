@@ -18,6 +18,15 @@ MEASURE_REPORT_KEYS = {
 }
 
 
+def test_star_import_binds_exactly_all():
+    namespace = {}
+    exec("from qlocc import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(qlocc.__all__)
+    assert len(set(qlocc.__all__)) == len(qlocc.__all__)
+    assert not {"scale_factor_bound_check", "werner_twirl"} & set(qlocc.__all__)
+
+
 def _run(capsys, argv):
     code = cli.main(argv)
     captured = capsys.readouterr()
@@ -72,6 +81,22 @@ def test_nogo_non_finite_tolerance_is_usage_error(capsys):
         code, _, err = _run(capsys, ["nogo", "--werner", "0.8", "--tolerance", tol])
         assert code == 1
         assert "tolerance" in err
+
+
+def test_ragged_state_file_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "ragged.json"
+    path.write_text(json.dumps({"matrix": [[[0.5, 0], [0, 0]], [[0, 0]]]}))
+    code, out, err = _run(capsys, ["measure", "--state", str(path)])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: malformed density-matrix JSON")
+
+
+def test_nogo_bad_seed_is_usage_error(capsys):
+    code, out, err = _run(capsys, ["nogo", "--werner", "0.8", "--seed", "-1"])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: seed ")
 
 
 def test_measure_invalid_state_file(tmp_path, capsys):

@@ -20,8 +20,6 @@ from qlocc.locc import (
     apply_local_pair,
     filter_matrix,
     predicted_concurrence,
-    random_filter,
-    random_unitary,
 )
 from qlocc.states import DensityMatrix, density_from_pure, make_bell_diagonal, make_werner
 
@@ -31,7 +29,11 @@ from conftest import (
     SZ,
     concurrence_oracle,
     lambda_oracle,
+    random_density_matrix,
+    random_filter,
     random_op,
+    random_pure_state,
+    random_unitary,
     spin_flip_oracle,
     su2_from_angle_axis,
 )
@@ -61,7 +63,7 @@ def test_spin_flip_fixes_bell_diagonal(rng):
 
 
 def test_spin_flip_matches_definition(rng):
-    rho = states.random_density_matrix(rng)
+    rho = random_density_matrix(rng)
     np.testing.assert_allclose(spin_flip(rho).mat, spin_flip_oracle(rho.mat), atol=1e-15)
 
 
@@ -81,7 +83,7 @@ def test_tilde_factorizes_on_products(rng):
 def test_tilde_of_conjugation(rng):
     # tilde(O rho O+) = O~ rho~ O~+ for arbitrary operators
     for _ in range(20):
-        rho = states.random_density_matrix(rng).mat
+        rho = random_density_matrix(rng).mat
         oa = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         ob = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         o = np.kron(oa, ob)
@@ -142,7 +144,7 @@ def test_lambda_spectrum_maximally_mixed():
 
 def test_lambda_spectrum_matches_hermitian_oracle(rng):
     for _ in range(30):
-        rho = states.random_density_matrix(rng)
+        rho = random_density_matrix(rng)
         np.testing.assert_allclose(
             lambda_spectrum(rho).lambdas, lambda_oracle(rho.mat), atol=1e-8
         )
@@ -153,7 +155,7 @@ def test_lambda_spectrum_matches_hermitian_oracle(rng):
 
 def test_lambda_spectrum_descending(rng):
     for _ in range(20):
-        lam = lambda_spectrum(states.random_density_matrix(rng)).lambdas
+        lam = lambda_spectrum(random_density_matrix(rng)).lambdas
         assert all(lam[i] >= lam[i + 1] for i in range(3))
         assert lam[3] >= 0.0
 
@@ -179,7 +181,7 @@ def test_concurrence_werner_law_grid():
 
 def test_concurrence_matches_oracle(rng):
     for _ in range(30):
-        rho = states.random_density_matrix(rng)
+        rho = random_density_matrix(rng)
         assert abs(concurrence(rho) - concurrence_oracle(rho.mat)) < 1e-8
         assert concurrence(rho) == _kernels.concurrence4(rho.mat)
 
@@ -191,7 +193,7 @@ def test_concurrence_of_strongly_filtered_state():
     # it here by 1.4e-7
     rng = np.random.default_rng(999)
     for _ in range(492):
-        rho = states.random_density_matrix(rng)
+        rho = random_density_matrix(rng)
         fa, fb = random_filter(rng, 0.999), random_filter(rng, 0.999)
         ops = [LocalOperation(unitary=random_unitary(rng), filter=f) for f in (fa, fb)]
     out = apply_local_pair(rho, *ops)
@@ -202,7 +204,7 @@ def test_concurrence_of_strongly_filtered_state():
 
 def test_concurrence_invariant_under_local_unitaries(rng):
     for _ in range(30):
-        rho = states.random_density_matrix(rng)
+        rho = random_density_matrix(rng)
         u = np.kron(random_unitary(rng), random_unitary(rng))
         rotated = DensityMatrix(u @ rho.mat @ u.conj().T)
         assert abs(concurrence(rotated) - concurrence(rho)) < 1e-10
@@ -231,7 +233,7 @@ def test_eof_strictly_increasing_in_concurrence():
 def test_eof_pure_states_match_reduced_entropy(rng):
     # for pure states the measure equals the entropy of either reduced state
     for _ in range(50):
-        psi = states.random_pure_state(rng)
+        psi = random_pure_state(rng)
         rho = density_from_pure(psi)
         amp = psi.amps.reshape(2, 2)
         red = amp @ amp.conj().T
@@ -259,7 +261,7 @@ def test_invariant_ratios_preserved_under_filtering(rng):
     # the common rescaling of all lambdas cancels in every ratio
     kept = 0
     while kept < 30:
-        rho = states.random_density_matrix(rng)
+        rho = random_density_matrix(rng)
         lam = lambda_spectrum(rho).lambdas
         if min(abs(lam[i] - lam[i + 1]) for i in range(3)) < 1e-3:
             continue

@@ -10,8 +10,14 @@ import pytest
 from qlocc import _kernels, states
 from qlocc.entanglement import concurrence
 from qlocc.errors import ConvergenceFailure, SpectrumError
-from qlocc.locc import random_filter, random_unitary
 from qlocc.nogo import SearchConfig, _random_params, certificate_to_dict, maximize_concurrence_gain
+
+from conftest import (
+    random_density_matrix,
+    random_entangled_bell_diagonal,
+    random_filter,
+    random_unitary,
+)
 
 # the kernels as a parameter, so each test's id names the backend it ran on
 ON_BACKEND = pytest.mark.parametrize("impl", [_kernels], ids=[_kernels.BACKEND])
@@ -43,7 +49,7 @@ def _random_batch(rng, N):
 
 @ON_BACKEND
 def test_batch_matches_single(impl, rng):
-    rho = states.random_density_matrix(rng).mat
+    rho = random_density_matrix(rng).mat
     c_in = impl.concurrence4(rho)
     a, n, b, m = _random_batch(rng, 64)
     gains, ts = impl.filter_gain_batch(rho, c_in, a, n, b, m)
@@ -55,7 +61,7 @@ def test_batch_matches_single(impl, rng):
 
 @ON_BACKEND
 def test_batch_rejects_mismatched_shapes(impl, rng):
-    rho = states.random_density_matrix(rng).mat
+    rho = random_density_matrix(rng).mat
     a, n, b, m = _random_batch(rng, 3)
     with pytest.raises(ValueError):
         impl.filter_gain_batch(rho, 0.1, a, n[:1], b, m)
@@ -70,7 +76,7 @@ def test_batch_rejects_mismatched_shapes(impl, rng):
 def test_threaded_batch_is_identical_to_chunks_and_one_worker(rng, monkeypatch):
     # about 2.5 chunks, so three workers share the output arrays and the
     # last chunk is partial; a short switch interval interleaves them often
-    rho = states.random_density_matrix(rng).mat
+    rho = random_density_matrix(rng).mat
     c_in = _kernels.concurrence4(rho)
     a, n, b, m = _random_batch(rng, 10_000)
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 4)
@@ -95,7 +101,7 @@ def test_threaded_batch_is_identical_to_chunks_and_one_worker(rng, monkeypatch):
 def test_threaded_batch_raises_worker_errors(rng, monkeypatch, svd_fails_on_stacks):
     # the fallback svd fails in both chunks of a threaded batch; the caller
     # gets the worker's ConvergenceFailure
-    rho = states.random_density_matrix(rng).mat
+    rho = random_density_matrix(rng).mat
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
     with pytest.raises(ConvergenceFailure, match="did not converge"):
         _kernels.filter_gain_batch(rho, 0.1, *_random_batch(rng, 2 * _kernels.CHUNK))
@@ -135,18 +141,18 @@ def _tau_stack(roots):
     return np.moveaxis(np.swapaxes(roots, -1, -2) @ (yy @ roots), 0, -1).copy()
 
 
-JACOBI_CASES = {
-    "random": lambda rng: states.random_density_matrix(rng).mat,
+COLUMN_NORM_BASE_CASES = {
+    "random": lambda rng: random_density_matrix(rng).mat,
     "werner-1": lambda rng: states.make_werner(1.0).mat,
     "singlet-uu": lambda rng: 0.6 * states.make_werner(1.0).mat + 0.4 * np.diag([1.0, 0, 0, 0]),
     "product": lambda rng: np.diag([1.0, 0, 0, 0]).astype(complex),
 }
 
 
-# the taus of the column-norm tests: JACOBI_CASES, Werner states with and
-# without a clear gap to separability, and a Bell-diagonal state
+# the taus of the column-norm tests: COLUMN_NORM_BASE_CASES, Werner states
+# with and without a clear gap to separability, and a Bell-diagonal state
 COLUMN_NORM_CASES = {
-    **JACOBI_CASES,
+    **COLUMN_NORM_BASE_CASES,
     "werner-0.8": lambda rng: states.make_werner(0.8).mat,
     "werner-0.5001": lambda rng: states.make_werner(0.5001).mat,
     "bell-diagonal": lambda rng: states.make_bell_diagonal([0.7, 0.1, 0.15, 0.05]).mat,
@@ -155,7 +161,7 @@ COLUMN_NORM_CASES = {
 
 @pytest.mark.parametrize("case", list(COLUMN_NORM_CASES))
 @pytest.mark.parametrize("max_strength", [0.98, 0.999, 0.9997])
-def test_jacobi_matches_lapack(case, max_strength, rng, monkeypatch):
+def test_column_norms_match_lapack(case, max_strength, rng, monkeypatch):
     # tau_singular_values on gain_root's filtered roots against LAPACK's svd
     # of the same tau, point by point, within 8 eps of the spectrum's scale
     # t; the rank-1 and rank-2 states give tau zero columns, the product
@@ -187,7 +193,7 @@ def test_eigh_root_taus_take_the_full_solve(rng, monkeypatch):
     # norms would understate C by 3e-8.
     tol = 8 * _kernels._EPS
     rows = _svd_rows(monkeypatch)
-    rho = states.random_density_matrix(rng).mat
+    rho = random_density_matrix(rng).mat
     roots, t = _kron_roots(_kernels.state_root(rho), rng, 200, 0.999)
     sv = _kernels.tau_singular_values(_tau_stack(roots), t)
     assert rows == [200]
@@ -201,10 +207,10 @@ def test_eigh_root_taus_take_the_full_solve(rng, monkeypatch):
     assert np.all(np.abs(sv - [[1.0, 0.5, np.sqrt(2) * 5e-8, 0.0], [1.0, 0.5, 0.0, 0.0]]) <= tol)
 
 
-def test_jacobi_point_does_not_depend_on_stack(rng):
+def test_column_norm_point_does_not_depend_on_stack(rng):
     # column-norm points and points that fall back to LAPACK, mixed: each
     # solved alone gives the bits it has in the stack
-    rho = states.random_density_matrix(rng).mat
+    rho = random_density_matrix(rng).mat
     roots, t = _kron_roots(_kernels.gain_root(rho), rng, 40, 0.999)
     roots[::3], t[::3] = _kron_roots(_kernels.state_root(rho), rng, 14, 0.98)
     tau = _tau_stack(roots)
@@ -213,7 +219,7 @@ def test_jacobi_point_does_not_depend_on_stack(rng):
     assert np.array_equal(_kernels.tau_singular_values(tau, t), np.concatenate(alone))
 
 
-def test_jacobi_zero_columns_give_zeros():
+def test_column_norm_zero_columns_give_zeros():
     tau = np.zeros((4, 4, 3), dtype=complex)
     tau[:, 0, 1] = [1.0, 2j, 0.0, 0.5]
     tau[:, 2, 2] = [0.0, 1.0, 1.0, 0.0]
@@ -228,9 +234,9 @@ def test_jacobi_zero_columns_give_zeros():
 def test_gain_root_has_column_orthogonal_tau(rng):
     # X W is a root of rho within a few eps, and tau(X W) = (V^T U) Sigma
     # has orthogonal columns whose norms are tau's singular values
-    for case in JACOBI_CASES:
+    for case in COLUMN_NORM_BASE_CASES:
         for _ in range(4):
-            rho = JACOBI_CASES[case](rng)
+            rho = COLUMN_NORM_BASE_CASES[case](rng)
             xw = _kernels.gain_root(rho)
             assert np.abs(xw @ xw.conj().T - rho).max() <= 8 * _kernels._EPS
             tau = _kernels._root_tau(xw)
@@ -247,7 +253,7 @@ def test_gain_root_chunks_rarely_fall_back(rng, monkeypatch):
     # at most 1% of the points to LAPACK (measured: none); an eigh root
     # would send nearly all of them
     rows = _svd_rows(monkeypatch)
-    rhos = [states.make_werner(0.8).mat] + [states.random_density_matrix(rng).mat for _ in range(3)]
+    rhos = [states.make_werner(0.8).mat] + [random_density_matrix(rng).mat for _ in range(3)]
     for rho in rhos:
         gains, _ = _kernels.filter_gain_batch(rho, 0.0, *_random_params(rng, _kernels.CHUNK))
         assert np.isfinite(gains).all()
@@ -257,16 +263,16 @@ def test_gain_root_chunks_rarely_fall_back(rng, monkeypatch):
 
 def _entangled_random(rng):
     while True:
-        rho = states.random_density_matrix(rng).mat
+        rho = random_density_matrix(rng).mat
         if _kernels.concurrence4(rho) > 0.05:
             return rho
 
 
 GRADIENT_CASES = {
     "werner": lambda rng: states.make_werner(0.55 + 0.45 * rng.random()).mat,
-    "bell-diagonal": lambda rng: states.random_entangled_bell_diagonal(rng).mat,
+    "bell-diagonal": lambda rng: random_entangled_bell_diagonal(rng).mat,
     "random": _entangled_random,
-    "singlet-uu": JACOBI_CASES["singlet-uu"],
+    "singlet-uu": COLUMN_NORM_BASE_CASES["singlet-uu"],
 }
 # central differences of the gain in the Cartesian filter vectors, and the
 # bound on their distance to the exact gradient: measured at most 3.0e-10
@@ -309,7 +315,7 @@ def test_lapack_failure_is_convergence_failure(rng, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
-    rho = states.random_density_matrix(rng)
+    rho = random_density_matrix(rng)
     root = _kernels.gain_root(rho.mat)
     monkeypatch.setattr(np.linalg, "svd", fail)
     with pytest.raises(ConvergenceFailure, match="did not converge"):
@@ -330,7 +336,7 @@ def test_batched_gain_at_strong_filters_matches_40_digits(rng):
     # 256 points.
     draws = np.random.default_rng(999)
     for _ in range(492):
-        rho = states.random_density_matrix(draws)
+        rho = random_density_matrix(draws)
         fa, fb = random_filter(draws, 0.999), random_filter(draws, 0.999)
         # that test's local unitaries, drawn to keep the sequence
         random_unitary(draws)
@@ -345,7 +351,7 @@ def test_batched_gain_at_strong_filters_matches_40_digits(rng):
     assert abs(gains[7] - 6.164472197178993e-06) < 1e-10
 
 
-@pytest.mark.parametrize("case", list(JACOBI_CASES))
+@pytest.mark.parametrize("case", list(COLUMN_NORM_BASE_CASES))
 def test_solver_routes_agree(case, rng, monkeypatch):
     # the column-norm route against LAPACK for every point of the same
     # draws: t keeps its bits, and the filtered state's concurrence before
@@ -353,7 +359,7 @@ def test_solver_routes_agree(case, rng, monkeypatch):
     # so the gain within 8 eps
     k = 256
     for _ in range(4):
-        rho = JACOBI_CASES[case](rng)
+        rho = COLUMN_NORM_BASE_CASES[case](rng)
         a, n, b, m = _random_batch(rng, k)
         a[: k // 2] *= 0.999 / 0.98
         g_col, t_col = _kernels.filter_gain_batch(rho, 0.0, a, n, b, m)
@@ -366,7 +372,7 @@ def test_solver_routes_agree(case, rng, monkeypatch):
         assert np.all(np.abs(g_svd - g_col) <= 8 * _kernels._EPS)
 
 
-@pytest.mark.parametrize("case", list(JACOBI_CASES))
+@pytest.mark.parametrize("case", list(COLUMN_NORM_BASE_CASES))
 def test_lapack_chunk_equals_one_point_calls(case, rng):
     # one route for every chunk length, short chunks included: the first
     # 40 points and the last, each evaluated alone, have the same gain and
@@ -375,7 +381,7 @@ def test_lapack_chunk_equals_one_point_calls(case, rng):
     # 0.999, and a pair of |d> projectors filters every fifth of the first
     # 40 out where the state has no |dd> component.
     k = _kernels.CHUNK + 1
-    rho = JACOBI_CASES[case](rng)
+    rho = COLUMN_NORM_BASE_CASES[case](rng)
     a, n, b, m = _random_batch(rng, k)
     a[1::2] *= 0.999 / 0.98
     a[:40:5], n[:40:5], b[:40:5], m[:40:5] = 1.0, [0.0, 0.0, -1.0], 1.0, [0.0, 0.0, -1.0]

@@ -13,18 +13,23 @@ from qlocc.locc import (
     LocalOperation,
     apply_local_pair,
     closed_form_t,
-    compose_local_ops,
     decompose_local_op,
     filter_matrix,
     normal_form,
     predicted_concurrence,
-    random_filter,
-    random_unitary,
     trivial_operation,
 )
 from qlocc.states import DensityMatrix, density_from_pure, make_werner, to_pauli
 
-from conftest import SY, random_op
+from conftest import (
+    SY,
+    compose_local_ops,
+    random_density_matrix,
+    random_entangled_bell_diagonal,
+    random_filter,
+    random_op,
+    random_unitary,
+)
 
 # the benchmark's independent references (they never import qlocc)
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -169,7 +174,7 @@ def test_compose_matches_operator_product(rng):
 # --- applying operation pairs ---
 
 def test_apply_trivial_pair(rng):
-    rho = states.random_density_matrix(rng)
+    rho = random_density_matrix(rng)
     out = apply_local_pair(rho, trivial_operation(), trivial_operation())
     np.testing.assert_allclose(out.state.mat, rho.mat, atol=1e-14)
     assert abs(out.probability - 1.0) < 1e-12
@@ -178,7 +183,7 @@ def test_apply_trivial_pair(rng):
 
 def test_apply_output_is_a_valid_state(rng):
     for _ in range(30):
-        rho = states.random_density_matrix(rng)
+        rho = random_density_matrix(rng)
         out = apply_local_pair(rho, random_op(rng), random_op(rng))
         assert states.validate(out.state).ok
         assert 0.0 < out.probability <= 1.0 + 1e-12
@@ -240,7 +245,7 @@ def test_closed_form_t_extremal_value():
 
 def test_closed_form_t_matches_trace(rng):
     for _ in range(300):
-        rho = states.random_density_matrix(rng)
+        rho = random_density_matrix(rng)
         fa, fb = random_filter(rng), random_filter(rng)
         assert abs(closed_form_t(to_pauli(rho), fa, fb) - _trace_t(rho, fa, fb)) < 1e-12
 
@@ -263,7 +268,7 @@ def test_predicted_concurrence_rank_reducing_filter():
 def test_transformation_law_random_tuples(rng):
     # predicted scale vs directly recomputed concurrence of the output
     for _ in range(1000):
-        rho = states.random_density_matrix(rng)
+        rho = random_density_matrix(rng)
         op_a, op_b = random_op(rng), random_op(rng)
         out = apply_local_pair(rho, op_a, op_b)
         predicted = predicted_concurrence(
@@ -274,7 +279,7 @@ def test_transformation_law_random_tuples(rng):
 
 def test_scale_invariance_of_the_law(rng):
     # rescaling nu, mu within range moves t but not the output state
-    rho = states.random_density_matrix(rng)
+    rho = random_density_matrix(rng)
     fa, fb = random_filter(rng), random_filter(rng)
     out1 = apply_local_pair(
         rho,
@@ -299,7 +304,7 @@ def test_eigenvector_transport(rng):
     # eigenvectors of rho rho~ map to eigenvectors of the filtered product
     count = 0
     while count < 20:
-        rho = states.random_density_matrix(rng)
+        rho = random_density_matrix(rng)
         tilde = np.kron(SY, SY).real
         prod = rho.mat @ (tilde @ rho.mat.conj() @ tilde)
         w, v = np.linalg.eig(prod)
@@ -345,7 +350,7 @@ def test_werner_scale_factor_never_above_one(rng):
 
 def test_normal_form_of_werner_and_bell_diagonal_is_the_input(rng):
     inputs = [make_werner(f) for f in (0.55, 0.75, 0.95)]
-    inputs += [states.random_entangled_bell_diagonal(rng) for _ in range(5)]
+    inputs += [random_entangled_bell_diagonal(rng) for _ in range(5)]
     for rho in inputs:
         nf = normal_form(rho)
         assert nf.iterations == 0
@@ -376,7 +381,7 @@ def test_normal_form_not_attained():
 
 def test_normal_form_balances_marginals_and_keeps_invariants(rng):
     for _ in range(40):
-        rho = states.random_density_matrix(rng)
+        rho = random_density_matrix(rng)
         nf = normal_form(rho)
         assert nf.residual <= 1e-14
         for f in (nf.filter_a, nf.filter_b):
@@ -396,7 +401,7 @@ def test_normal_form_balances_marginals_and_keeps_invariants(rng):
 
 def test_normal_form_matches_reference(rng):
     for _ in range(40):
-        rho = states.random_density_matrix(rng)
+        rho = random_density_matrix(rng)
         c = concurrence(rho)
         opt, err = reference.normal_form_optimum(rho.mat, c)
         assert abs(normal_form(rho).optimum - opt) <= err

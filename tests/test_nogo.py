@@ -20,12 +20,9 @@ from qlocc.nogo import (
     certificate_to_dict,
     maximize_concurrence_gain,
     probability_floor,
-    probability_floor_sequence,
     procrustean_pure,
     randomization_convexity_check,
-    scale_factor_bound_check,
     scale_factor_grid,
-    werner_twirl,
 )
 from qlocc.states import (
     DensityMatrix,
@@ -36,7 +33,14 @@ from qlocc.states import (
     make_werner,
 )
 
-from conftest import random_op
+from conftest import (
+    probability_floor_sequence,
+    random_density_matrix,
+    random_entangled_bell_diagonal,
+    random_op,
+    random_pure_state,
+    werner_twirl,
+)
 from test_acceptance import BELL_CONFIG, WERNER_CONFIG
 
 Z = np.array([0.0, 0.0, 1.0])
@@ -132,7 +136,7 @@ def test_bell_diagonal_refinements_converge(rng, monkeypatch):
 
     monkeypatch.setattr(nogo, "_quasi_newton", recording)
     for _ in range(3):
-        maximize_concurrence_gain(states.random_entangled_bell_diagonal(rng), SMALL)
+        maximize_concurrence_gain(random_entangled_bell_diagonal(rng), SMALL)
     maximize_concurrence_gain(make_werner(0.7), SMALL)
     assert len(results) == 4
     for res in results:
@@ -192,7 +196,7 @@ def test_werner_certificates_hold():
 
 def test_bell_diagonal_certificates_hold(rng):
     for _ in range(5):
-        rho = states.random_entangled_bell_diagonal(rng)
+        rho = random_entangled_bell_diagonal(rng)
         cert = maximize_concurrence_gain(rho, SMALL)
         assert cert.best_gain <= 1e-7
 
@@ -227,7 +231,7 @@ def _power_states(seed, count):
     rng = np.random.default_rng(seed)
     out = []
     while len(out) < count:
-        rho = states.random_density_matrix(rng)
+        rho = random_density_matrix(rng)
         c = concurrence(rho)
         if c < 0.05:
             continue
@@ -333,6 +337,10 @@ def test_search_config_validation():
         with pytest.raises(DomainError):
             SearchConfig(**bad)
     assert SearchConfig(restarts=np.int64(5)).restarts == 5
+    for bad in (-1, 1.5, True, np.int64(-3), "7"):
+        with pytest.raises(DomainError, match="seed"):
+            SearchConfig(seed=bad)
+    assert SearchConfig(seed=np.int64(0)).seed == 0
     # stage sizes are checked before anything is allocated; int64 powers
     # must not wrap
     cap = nogo.MAX_STAGE_POINTS
@@ -352,14 +360,14 @@ def test_search_config_validation():
 
 def test_scale_factor_bound_grid():
     for f in [0.55, 0.95]:
-        assert scale_factor_bound_check(f, grid_density=40) <= 1.0 + 1e-12
+        assert scale_factor_grid(f, grid_density=40).max_factor <= 1.0 + 1e-12
     # dense 100 x 100 x 100 evaluation
-    assert scale_factor_bound_check(0.75, grid_density=100) <= 1.0 + 1e-12
+    assert scale_factor_grid(0.75, grid_density=100).max_factor <= 1.0 + 1e-12
 
 
 def test_scale_factor_reaches_one_at_trivial_point():
     # a = b = 0 gives the factor exactly 1, so the max is exactly 1
-    assert scale_factor_bound_check(0.75, grid_density=25) == 1.0
+    assert scale_factor_grid(0.75, grid_density=25).max_factor == 1.0
 
 
 def test_scale_factor_vanishes_at_projector_limit():
@@ -372,7 +380,7 @@ def test_scale_factor_vanishes_at_projector_limit():
 
 def test_scale_factor_domain():
     with pytest.raises(DomainError):
-        scale_factor_bound_check(0.5)
+        scale_factor_grid(0.5).max_factor
     with pytest.raises(DomainError):
         scale_factor_grid(0.75, grid_density=1)
     with pytest.raises(DomainError):
@@ -464,7 +472,7 @@ def test_procrustean_example():
 
 def test_procrustean_random_states(rng):
     for _ in range(100):
-        psi = states.random_pure_state(rng)
+        psi = random_pure_state(rng)
         amp = psi.amps.reshape(2, 2)
         if np.linalg.svd(amp, compute_uv=False)[1] < 1e-6:
             continue
@@ -531,7 +539,7 @@ def test_convexity_weight_validation():
 
 def test_twirl_preserves_fidelity(rng):
     for _ in range(20):
-        rho = states.random_density_matrix(rng)
+        rho = random_density_matrix(rng)
         assert abs(fidelity(werner_twirl(rho)) - fidelity(rho)) < 1e-12
 
 

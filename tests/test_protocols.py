@@ -5,10 +5,11 @@ from qlocc.errors import DomainError, TargetNotReached
 from qlocc.protocols import (
     RecurrenceTrace,
     collective_step,
-    collective_step_closed_form,
     iterate_to_target,
     trace_to_csv,
 )
+
+from conftest import collective_step_closed_form
 
 
 def test_simulation_matches_closed_form():

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -14,11 +16,12 @@ from qlocc.states import (
     from_pauli,
     make_bell_diagonal,
     make_werner,
-    pauli_rep_from_dict,
     pauli_rep_to_dict,
     to_pauli,
     validate,
 )
+
+from conftest import random_density_matrix
 
 
 def test_werner_extreme_points():
@@ -116,7 +119,7 @@ def test_pauli_rep_of_maximally_mixed():
 
 def test_pauli_round_trip(rng):
     for _ in range(50):
-        rho = states.random_density_matrix(rng)
+        rho = random_density_matrix(rng)
         rep = to_pauli(rho)
         assert np.linalg.norm(rep.alpha) <= 1.0 + 1e-12
         assert np.linalg.norm(rep.beta) <= 1.0 + 1e-12
@@ -126,8 +129,8 @@ def test_pauli_round_trip(rng):
 
 def test_pauli_round_trip_is_linear(rng):
     # the map acts linearly on Hermitian unit-trace matrices
-    r1 = states.random_density_matrix(rng)
-    r2 = states.random_density_matrix(rng)
+    r1 = random_density_matrix(rng)
+    r2 = random_density_matrix(rng)
     w = 0.3
     mix = DensityMatrix(w * r1.mat + (1 - w) * r2.mat)
     rep1, rep2, repm = to_pauli(r1), to_pauli(r2), to_pauli(mix)
@@ -182,7 +185,7 @@ def test_pure_state_normalization():
 
 
 def test_density_matrix_json_round_trip(rng):
-    rho = states.random_density_matrix(rng)
+    rho = random_density_matrix(rng)
     back = density_matrix_from_dict(density_matrix_to_dict(rho))
     assert np.abs(back.mat - rho.mat).max() < 1e-15
 
@@ -190,6 +193,8 @@ def test_density_matrix_json_round_trip(rng):
 def test_density_matrix_json_rejects_bad_input():
     with pytest.raises(DomainError):
         density_matrix_from_dict({"not_matrix": []})
+    with pytest.raises(DomainError, match="malformed"):
+        density_matrix_from_dict({"matrix": [[[0.5, 0], [0, 0]], [[0, 0]]]})
     with pytest.raises(NotAState):
         density_matrix_from_dict(
             {"matrix": [[[1.0, 0.0] if i == j else [0.0, 0.0] for j in range(4)] for i in range(4)]}
@@ -200,6 +205,7 @@ def test_density_matrix_json_rejects_bad_input():
 
 def test_pauli_rep_json_round_trip():
     rep = to_pauli(make_werner(0.8))
-    back = pauli_rep_from_dict(pauli_rep_to_dict(rep))
-    np.testing.assert_allclose(back.R, rep.R, atol=1e-15)
-    np.testing.assert_allclose(back.alpha, rep.alpha, atol=1e-15)
+    back = json.loads(json.dumps(pauli_rep_to_dict(rep)))
+    np.testing.assert_allclose(back["R"], rep.R, atol=1e-15)
+    np.testing.assert_allclose(back["alpha"], rep.alpha, atol=1e-15)
+    np.testing.assert_allclose(back["beta"], rep.beta, atol=1e-15)
