@@ -6,7 +6,10 @@ strengths and axes: a coarse grid and uniform random draws through the
 batched kernel, then lockstep quasi-Newton refinements of the best
 candidates. Each refinement step is one call of the gradient kernel on the
 trial points of every active start; it returns their gains with exact
-gradients in the Cartesian filter vectors v = a n. The refinement moves
+gradients in the Cartesian filter vectors v = a n. Both kernels run one
+chunk body, so a filter pair has the same gain bits in every stage, and
+both take tau's singular values, and the gradient its singular vectors,
+from tau's columns wherever a per-point test allows. The refinement moves
 each party's point u in R^3, mapped onto the open unit ball by
 v = u / sqrt(1 + |u|^2). The map is smooth and regular at u = 0, the
 identity filter, next to which lie the optimal filters of states close to
@@ -78,7 +81,8 @@ class SearchConfig:
     three budgets must be positive integers (not bools), and neither
     ``restarts`` nor ``grid_density**6`` may exceed ``MAX_STAGE_POINTS``
     (4,000,000), checked before anything is allocated. All randomness flows
-    from ``seed``, a non-negative integer (not a bool).
+    from ``seed``, a non-negative integer (not a bool). ``tolerance`` must be
+    a positive, finite real number (not a bool).
     """
 
     restarts: int = 64
@@ -98,8 +102,9 @@ class SearchConfig:
             if points > MAX_STAGE_POINTS:
                 raise DomainError(f"{name} = {points} exceeds the {MAX_STAGE_POINTS} points "
                                   "one search stage may hold")
-        if not 0.0 < self.tolerance < math.inf:
-            raise DomainError("tolerance must be positive and finite")
+        tol = self.tolerance
+        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
+            raise DomainError(f"tolerance must be a positive, finite real number, got {tol!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -393,15 +398,17 @@ def _werner_floor(a, nu, b, mu):
 def scale_factor_grid(F: float, grid_density: int = 100) -> ScaleFactorRow:
     """Grid evaluation of the Werner scale factor with worst-case bookkeeping.
 
-    The grid holds grid_density**3 points; ``grid_density`` must lie in
-    [2, ``MAX_SCALE_GRID_DENSITY``] (200), checked before it is built.
+    The grid holds grid_density**3 points; ``grid_density`` must be an
+    integer (not a bool) in [2, ``MAX_SCALE_GRID_DENSITY``] (200), checked
+    before it is built.
     """
     F = float(F)
     if not 0.5 < F <= 1.0:
         raise DomainError(f"Werner fidelity F={F} must lie in (1/2, 1]")
-    if not 2 <= grid_density <= MAX_SCALE_GRID_DENSITY:
-        raise DomainError(f"grid_density must lie in [2, {MAX_SCALE_GRID_DENSITY}], "
-                          f"got {grid_density}")
+    if (isinstance(grid_density, bool) or not isinstance(grid_density, numbers.Integral)
+            or not 2 <= grid_density <= MAX_SCALE_GRID_DENSITY):
+        raise DomainError(f"grid_density must be an integer in [2, {MAX_SCALE_GRID_DENSITY}], "
+                          f"got {grid_density!r}")
     vals = np.linspace(0.0, 1.0, grid_density)
     u = np.linspace(-1.0, 1.0, grid_density)
     A, B, U = np.meshgrid(vals, vals, u, indexing="ij")

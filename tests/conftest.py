@@ -100,9 +100,11 @@ def rng():
 
 @pytest.fixture
 def svd_fails_on_stacks(monkeypatch):
-    """LAPACK's svd fails on (N, 4, 4) stacks, and the batched gain kernel
-    gets an eigh root, whose taus are not column-orthogonal, so every point
-    goes to such a stack. Single matrices, as for c_in, still solve."""
+    """LAPACK's svd fails on (N, 4, 4) stacks, and the gain kernels get an
+    eigh root. Its taus are column-orthogonal for some states (none of a
+    Werner state's 4096 grid points reach LAPACK) and not for a random
+    full-rank state, all of whose grid points go to such a stack. Single
+    matrices, as for c_in, still solve."""
     svd = np.linalg.svd
 
     def fail(m, *args, **kwargs):

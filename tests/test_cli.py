@@ -8,6 +8,8 @@ from qlocc import cli, nogo
 from qlocc.errors import NotAttained
 from qlocc.states import density_matrix_to_dict, make_werner
 
+from conftest import random_density_matrix
+
 MEASURE_REPORT_KEYS = {
     "fidelity",
     "lambda_spectrum",
@@ -179,9 +181,12 @@ def test_nogo_rerun_is_byte_identical(tmp_path, capsys):
     assert body1 == body2
 
 
-def test_nogo_svd_failure_is_validation_error(capsys, svd_fails_on_stacks):
-    # the batched kernel's fallback svd fails on the grid stage's points
-    code, out, err = _run(capsys, ["nogo", "--werner", "0.8", "--restarts", "64"])
+def test_nogo_svd_failure_is_validation_error(capsys, tmp_path, rng, svd_fails_on_stacks):
+    # the batched kernel's fallback svd fails on the grid stage's points,
+    # which for a random full-rank state all reach LAPACK
+    path = tmp_path / "random.json"
+    path.write_text(json.dumps(density_matrix_to_dict(random_density_matrix(rng))))
+    code, out, err = _run(capsys, ["nogo", "--state", str(path), "--restarts", "64"])
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and "did not converge" in err

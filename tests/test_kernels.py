@@ -19,22 +19,16 @@ from conftest import (
     random_unitary,
 )
 
-# the kernels as a parameter, so each test's id names the backend it ran on
-ON_BACKEND = pytest.mark.parametrize("impl", [_kernels], ids=[_kernels.BACKEND])
-
-
-@ON_BACKEND
-def test_eigvals_specials(impl):
-    np.testing.assert_allclose(impl.eigvals4x4(np.zeros((4, 4))), np.zeros(4), atol=1e-14)
-    np.testing.assert_allclose(impl.eigvals4x4(np.eye(4)), np.ones(4), atol=1e-14)
-    w = np.sort(impl.eigvals4x4(np.diag([4.0, 3.0, 2.0, 1.0])).real)
+def test_eigvals_specials():
+    np.testing.assert_allclose(_kernels.eigvals4x4(np.zeros((4, 4))), np.zeros(4), atol=1e-14)
+    np.testing.assert_allclose(_kernels.eigvals4x4(np.eye(4)), np.ones(4), atol=1e-14)
+    w = np.sort(_kernels.eigvals4x4(np.diag([4.0, 3.0, 2.0, 1.0])).real)
     np.testing.assert_allclose(w, [1, 2, 3, 4], atol=1e-13)
 
 
-@ON_BACKEND
-def test_eigvals_rejects_wrong_shape(impl):
+def test_eigvals_rejects_wrong_shape():
     with pytest.raises(ValueError):
-        impl.eigvals4x4(np.eye(3))
+        _kernels.eigvals4x4(np.eye(3))
 
 
 def _random_batch(rng, N):
@@ -47,30 +41,28 @@ def _random_batch(rng, N):
     return a, n, b, m
 
 
-@ON_BACKEND
-def test_batch_matches_single(impl, rng):
+def test_batch_matches_single(rng):
     rho = random_density_matrix(rng).mat
-    c_in = impl.concurrence4(rho)
+    c_in = _kernels.concurrence4(rho)
     a, n, b, m = _random_batch(rng, 64)
-    gains, ts = impl.filter_gain_batch(rho, c_in, a, n, b, m)
+    gains, ts = _kernels.filter_gain_batch(rho, c_in, a, n, b, m)
     for i in range(64):
-        g, t = impl.filter_gain_single(rho, c_in, a[i], n[i], b[i], m[i])
+        g, t = _kernels.filter_gain_single(rho, c_in, a[i], n[i], b[i], m[i])
         assert gains[i] == pytest.approx(g, abs=1e-13)
         assert ts[i] == pytest.approx(t, abs=1e-14)
 
 
-@ON_BACKEND
-def test_batch_rejects_mismatched_shapes(impl, rng):
+def test_batch_rejects_mismatched_shapes(rng):
     rho = random_density_matrix(rng).mat
     a, n, b, m = _random_batch(rng, 3)
     with pytest.raises(ValueError):
-        impl.filter_gain_batch(rho, 0.1, a, n[:1], b, m)
+        _kernels.filter_gain_batch(rho, 0.1, a, n[:1], b, m)
     with pytest.raises(ValueError):
-        impl.filter_gain_batch(rho, 0.1, a[:2], n[:2], b[:1], m[:1])
+        _kernels.filter_gain_batch(rho, 0.1, a[:2], n[:2], b[:1], m[:1])
     with pytest.raises(ValueError):
-        impl.filter_gain_batch(rho, 0.1, a, n[:, :2], b, m)
+        _kernels.filter_gain_batch(rho, 0.1, a, n[:, :2], b, m)
     with pytest.raises(ValueError):
-        impl.filter_gain_batch(rho, 0.1, a, n, b, np.ones((3, 4)))
+        _kernels.filter_gain_batch(rho, 0.1, a, n, b, np.ones((3, 4)))
 
 
 def test_threaded_batch_is_identical_to_chunks_and_one_worker(rng, monkeypatch):
@@ -109,13 +101,13 @@ def test_threaded_batch_raises_worker_errors(rng, monkeypatch, svd_fails_on_stac
 
 def _svd_rows(monkeypatch):
     """Count the matrices that reach :func:`_kernels._svd` in stacks; the
-    returned list gets one count per call."""
+    returned list gets one (count, compute_uv) pair per call."""
     rows = []
     svd = _kernels._svd
 
     def counted(tau, compute_uv=False):
         if np.ndim(tau) == 3:
-            rows.append(len(tau))
+            rows.append((len(tau), compute_uv))
         return svd(tau, compute_uv)
 
     monkeypatch.setattr(_kernels, "_svd", counted)
@@ -175,7 +167,7 @@ def test_column_norms_match_lapack(case, max_strength, rng, monkeypatch):
         tau = _tau_stack(roots)
         with np.errstate(divide="raise", over="raise", invalid="raise"):
             sv = _kernels.tau_singular_values(tau, t)
-        fell_back = sum(rows)
+        fell_back = sum(count for count, _ in rows)
         assert sv.shape == (200, 4)
         assert np.all(np.diff(sv, axis=1) <= 0)
         assert np.all(np.abs(sv - _kernels.lambdas(roots)) <= 8 * _kernels._EPS * t[:, None])
@@ -196,14 +188,14 @@ def test_eigh_root_taus_take_the_full_solve(rng, monkeypatch):
     rho = random_density_matrix(rng).mat
     roots, t = _kron_roots(_kernels.state_root(rho), rng, 200, 0.999)
     sv = _kernels.tau_singular_values(_tau_stack(roots), t)
-    assert rows == [200]
+    assert rows == [(200, False)]
     assert np.all(np.abs(sv - _kernels.lambdas(roots)) <= tol * t[:, None])
     rows.clear()
     u = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
     tau = np.stack([u * [1.0, 0.5, 5e-8, 0.0], u * [1.0, 0.5, 0.0, 0.0]], axis=-1)
     tau[:, 3, 0] = tau[:, 2, 0]
     sv = _kernels.tau_singular_values(tau, np.ones(2))
-    assert rows == [1]
+    assert rows == [(1, False)]
     assert np.all(np.abs(sv - [[1.0, 0.5, np.sqrt(2) * 5e-8, 0.0], [1.0, 0.5, 0.0, 0.0]]) <= tol)
 
 
@@ -257,7 +249,7 @@ def test_gain_root_chunks_rarely_fall_back(rng, monkeypatch):
     for rho in rhos:
         gains, _ = _kernels.filter_gain_batch(rho, 0.0, *_random_params(rng, _kernels.CHUNK))
         assert np.isfinite(gains).all()
-        assert sum(rows) <= 0.01 * _kernels.CHUNK
+        assert sum(count for count, _ in rows) <= 0.01 * _kernels.CHUNK
         rows.clear()
 
 
@@ -286,7 +278,8 @@ GRADIENT_TOL = 1e-9
 def test_gain_gradient_matches_central_differences(case, max_strength, rng):
     # Werner and Bell-diagonal taus have degenerate singular values, the
     # rank-2 state a rank-deficient tau; the differences are taken through
-    # filter_gain_batch, whose values do not share the gradient's svd
+    # filter_gain_batch, whose chunk body the gradient shares, so the two
+    # entries' gains have the same bits
     n = 40
     off = GRADIENT_H * np.concatenate([np.eye(6), -np.eye(6)]).reshape(12, 2, 3)
     for _ in range(3):
@@ -300,7 +293,7 @@ def test_gain_gradient_matches_central_differences(case, max_strength, rng):
             _kernels.gain_root(rho), c_in, s[:, 0], u[:, 0], s[:, 1], u[:, 1])
         g_batch, t_batch = _kernels.filter_gain_batch(rho, c_in, s[:, 0], u[:, 0], s[:, 1], u[:, 1])
         assert np.array_equal(ts, t_batch)
-        assert np.all(np.abs(gains - g_batch) <= 8 * _kernels._EPS)
+        assert np.array_equal(gains, g_batch)
         w = (v[:, None] + off).reshape(-1, 2, 3)
         sw = np.linalg.norm(w, axis=2)
         gw, _ = _kernels.filter_gain_batch(rho, c_in, sw[:, 0], w[:, 0] / sw[:, :1],
@@ -311,12 +304,45 @@ def test_gain_gradient_matches_central_differences(case, max_strength, rng):
         assert np.abs(grad - central).max() <= GRADIENT_TOL
 
 
+def test_gradient_takes_lapack_vectors_only_at_rounding_level_columns(rng, monkeypatch):
+    # refinement-sized calls (30 points, strengths up to 0.999). The
+    # column-orthogonal taus of Werner, Bell-diagonal and random full-rank
+    # states give the gradient their columns: no point reaches
+    # _svd(compute_uv=True). The rank-2 state's taus have two zero columns,
+    # so all of its points take LAPACK's vectors; with 1e-13 of the identity
+    # mixed in, only the points with a column below COLUMN_FLOOR t do
+    # (measured: 5 to 13 of 30)
+    rows = _svd_rows(monkeypatch)
+    cases = {**GRADIENT_CASES, "near-singlet-uu": lambda rng: (
+        COLUMN_NORM_BASE_CASES["singlet-uu"](rng) + 1e-13 * np.eye(4)) / (1.0 + 4e-13)}
+    for case in cases:
+        vectors = []
+        for _ in range(4):
+            rho = cases[case](rng)
+            a, n, b, m = _random_batch(rng, 30)
+            a *= 0.999 / 0.98
+            b *= 0.999 / 0.98
+            gains, _, grad = _kernels.filter_gain_gradient(
+                _kernels.gain_root(rho), _kernels.concurrence4(rho), a, n, b, m)
+            assert np.isfinite(gains).all() and np.isfinite(grad).all()
+            vectors.append(sum(count for count, uv in rows if uv))
+            rows.clear()
+        if case == "singlet-uu":
+            assert vectors == [30] * 4
+        elif case == "near-singlet-uu":
+            assert 0 < sum(vectors) < 120, vectors
+        else:
+            assert vectors == [0] * 4, (case, vectors)
+
+
 def test_lapack_failure_is_convergence_failure(rng, monkeypatch):
     def fail(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     rho = random_density_matrix(rng)
-    root = _kernels.gain_root(rho.mat)
+    # the rank-2 state's taus have columns at rounding level, so its
+    # gradient points take LAPACK's vectors
+    root = _kernels.gain_root(COLUMN_NORM_BASE_CASES["singlet-uu"](rng))
     monkeypatch.setattr(np.linalg, "svd", fail)
     with pytest.raises(ConvergenceFailure, match="did not converge"):
         _kernels.filter_gain_batch(rho.mat, 0.1, *_random_batch(rng, 6))
@@ -406,18 +432,17 @@ def test_threaded_certificate_is_identical_to_one_worker(monkeypatch):
     assert threaded == certificate_to_dict(maximize_concurrence_gain(rho, cfg))
 
 
-@ON_BACKEND
-def test_filtered_out_gain_is_minus_inf(impl):
+def test_filtered_out_gain_is_minus_inf():
     # a projector pair annihilates the orthogonal pure product state
     up_up = np.zeros((4, 4), dtype=complex)
     up_up[0, 0] = 1.0
-    gains, ts = impl.filter_gain_batch(
+    gains, ts = _kernels.filter_gain_batch(
         up_up, 0.0, [1.0], [[0.0, 0.0, -1.0]], [0.0], [[0.0, 0.0, 1.0]]
     )
     assert gains[0] == -np.inf
     assert ts[0] <= 1e-14
-    gains, ts, grad = impl.filter_gain_gradient(
-        impl.gain_root(up_up), 0.0, np.array([1.0, 0.5]), np.array([[0.0, 0.0, -1.0]] * 2),
+    gains, ts, grad = _kernels.filter_gain_gradient(
+        _kernels.gain_root(up_up), 0.0, np.array([1.0, 0.5]), np.array([[0.0, 0.0, -1.0]] * 2),
         np.array([0.0, 0.5]), np.array([[0.0, 0.0, 1.0]] * 2)
     )
     assert gains[0] == -np.inf and np.isnan(grad[0]).all()
@@ -425,12 +450,11 @@ def test_filtered_out_gain_is_minus_inf(impl):
     assert gains[1] == 0.0 and np.all(grad[1] == 0.0)
 
 
-@ON_BACKEND
-def test_concurrence_spectrum_policy(impl):
+def test_concurrence_spectrum_policy():
     # Hermitian unit-trace but not PSD: the clamp policy must flag it
     bad = np.diag([0.75, 0.75, -0.25, -0.25]).astype(complex)
     with pytest.raises(SpectrumError):
-        impl.concurrence4(bad)
+        _kernels.concurrence4(bad)
 
 
 def test_active_backend_exports():
@@ -439,9 +463,8 @@ def test_active_backend_exports():
     assert callable(_kernels.filter_gain_batch)
 
 
-@ON_BACKEND
-def test_concurrence_noise_snap(impl):
+def test_concurrence_noise_snap():
     from qlocc.states import make_werner
 
     # at the separability boundary the value is exactly zero, not eps noise
-    assert impl.concurrence4(make_werner(0.5).mat) == 0.0
+    assert _kernels.concurrence4(make_werner(0.5).mat) == 0.0

@@ -351,9 +351,10 @@ def test_search_config_validation():
             SearchConfig(**bad)
     with pytest.raises(DomainError):
         SearchConfig(tolerance=0.0)
-    for bad in (math.nan, math.inf):
-        with pytest.raises(DomainError):
+    for bad in (math.nan, math.inf, "1e-7", None, 1j, True):
+        with pytest.raises(DomainError, match="tolerance"):
             SearchConfig(tolerance=bad)
+    assert SearchConfig(tolerance=np.float64(1e-6)).tolerance == 1e-6
 
 
 # --- scale factor bound ---
@@ -385,6 +386,10 @@ def test_scale_factor_domain():
         scale_factor_grid(0.75, grid_density=1)
     with pytest.raises(DomainError):
         scale_factor_grid(0.75, grid_density=nogo.MAX_SCALE_GRID_DENSITY + 1)
+    for bad in (2.5, "10", None, True, 10.0):
+        with pytest.raises(DomainError, match="grid_density"):
+            scale_factor_grid(0.75, grid_density=bad)
+    assert scale_factor_grid(0.75, grid_density=np.int64(3)).max_factor > 0.0
 
 
 def test_sweep_row_fields():
