@@ -11,9 +11,9 @@ Every route shares one tau and one clamp policy
 ``gain_root``, the same root turned by the right singular vectors of its
 tau, so that every filtered tau is column-orthogonal up to rounding. Both
 gain entries run one chunk body (``_gain_chunk``), so a filter pair has the
-same gain bits from either: ``filter_gain_batch``, the grid and random
-stages' entry, in chunks over a thread pool, and ``filter_gain_gradient``,
-the refinement's, with exact gradients. A point's singular values, and the
+same gain bits from either: ``filter_gain_batch``, which scores the
+search's candidate table in chunks over a thread pool, and
+``filter_gain_gradient``, the refinement's, with exact gradients. A point's singular values, and the
 gradient's singular vectors, come from the norms and directions of tau's
 columns wherever a per-point test shows them accurate
 (``tau_singular_values``); the other points go to ``_svd``, in one call
@@ -370,7 +370,8 @@ def filter_gain_batch(rho, c_in, a, n, b, m):
     probability falls at or below ``TOL_PROB`` get gain -inf (the branch
     filters out).
 
-    The grid and random stages' entry; the refinement uses
+    The entry that scores the search's candidate table, grid and random
+    draws in one call; the refinement uses
     :func:`filter_gain_gradient`. X is :func:`gain_root`'s root, computed
     once per call. The points are evaluated by :func:`_gain_chunk` in
     chunks of ``CHUNK``. A batch of two or more chunks is spread over a

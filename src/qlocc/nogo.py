@@ -2,14 +2,15 @@
 increase the entanglement of Werner or Bell-diagonal states.
 
 The search maximizes the concurrence gain over both parties' filter
-strengths and axes: a coarse grid and uniform random draws through the
-batched kernel, then lockstep quasi-Newton refinements of the best
-candidates. Each refinement step is one call of the gradient kernel on the
-trial points of every active start; it returns their gains with exact
-gradients in the Cartesian filter vectors v = a n. Both kernels run one
-chunk body, so a filter pair has the same gain bits in every stage, and
-both take tau's singular values, and the gradient its singular vectors,
-from tau's columns wherever a per-point test allows. The refinement moves
+strengths and axes. One candidate table, a coarse grid followed by uniform
+random draws, is scored in one call of the batched kernel; lockstep
+quasi-Newton refinements then start from its best rows. Each refinement
+step is one call of the gradient kernel on the trial points of every
+active start; it returns their gains with exact gradients in the Cartesian
+filter vectors v = a n. Both kernels run one chunk body, so a filter pair
+has the same gain bits in every stage, and both take tau's singular
+values, and the gradient its singular vectors, from tau's columns wherever
+a per-point test allows. The refinement moves
 each party's point u in R^3, mapped onto the open unit ball by
 v = u / sqrt(1 + |u|^2). The map is smooth and regular at u = 0, the
 identity filter, next to which lie the optimal filters of states close to
@@ -29,7 +30,6 @@ randomizing outcomes never helps.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -49,9 +49,12 @@ from qlocc.locc import (
 from qlocc.states import (
     DensityMatrix,
     PureState,
+    check_probability_vector,
     density_from_pure,
     density_matrix_to_dict,
+    integer_in_range,
     make_werner,
+    real_number,
     to_pauli,
 )
 
@@ -61,10 +64,10 @@ _U_RANGE = 8.0  # random draws of the stretched strength coordinate
 # rounding-level improvement below which a start stops
 _ALPHAS = 0.25 ** np.arange(5)
 _IMPROVE_TOL = 1e-15
-# The most points one search stage may hold: the grid's grid_density**6
-# (so grid_density <= 12) and the random stage's restarts. A stage takes
-# about 130 bytes per point, so both stages at this size stay near 1 GB and
-# run under a 2 GB `ulimit -v` (measured on a 2-CPU machine).
+# The most points the grid's grid_density**6 (so grid_density <= 12) and the
+# random draws' restarts may each hold. The search's one candidate table
+# holds both, so up to 6,985,984 points: at that size a search of W(0.75)
+# peaked at 769 MB resident, under a 2 GB `ulimit -v` (2-CPU Xeon VM).
 MAX_STAGE_POINTS = 4_000_000
 # the largest grid_density of scale_factor_grid: 200**3 points take about
 # 0.5 GB at its peak, again within a 2 GB `ulimit -v`
@@ -80,9 +83,9 @@ class SearchConfig:
     ``local_steps`` caps the iterations per quasi-Newton refinement. The
     three budgets must be positive integers (not bools), and neither
     ``restarts`` nor ``grid_density**6`` may exceed ``MAX_STAGE_POINTS``
-    (4,000,000), checked before anything is allocated. All randomness flows
-    from ``seed``, a non-negative integer (not a bool). ``tolerance`` must be
-    a positive, finite real number (not a bool).
+    (4,000,000), checked before the candidate table is allocated. All
+    randomness flows from ``seed``, a non-negative integer (not a bool).
+    ``tolerance`` must be a positive, finite real number (not a bool).
     """
 
     restarts: int = 64
@@ -93,18 +96,14 @@ class SearchConfig:
 
     def __post_init__(self):
         for name, least in (("restarts", 1), ("grid_density", 1), ("local_steps", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
-                kind = "positive" if least else "non-negative"
-                raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
+            integer_in_range(name, getattr(self, name), least)
         for name, points in (("grid_density**6", int(self.grid_density) ** 6),
                              ("restarts", int(self.restarts))):
             if points > MAX_STAGE_POINTS:
                 raise DomainError(f"{name} = {points} exceeds the {MAX_STAGE_POINTS} points "
                                   "one search stage may hold")
-        tol = self.tolerance
-        if isinstance(tol, bool) or not isinstance(tol, numbers.Real) or not 0.0 < tol < math.inf:
-            raise DomainError(f"tolerance must be a positive, finite real number, got {tol!r}")
+        if not 0.0 < real_number("tolerance", self.tolerance) < math.inf:
+            raise DomainError(f"tolerance must be positive and finite, got {self.tolerance!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,44 +131,51 @@ class Certificate:
         return self.best_gain <= self.config.tolerance
 
 
-def _axes(z, phi):
-    """Unit vectors with z-component ``z`` and azimuth ``phi``.
-
-    Written into one preallocated array: building the random stage's axes
-    from fewer live temporaries keeps the search's peak memory down.
-    """
-    n = np.empty(np.shape(z) + (3,))
-    n[..., 2] = z
+def _axes(z, phi, out):
+    """Writes into ``out`` the unit vectors with z-component ``z`` and
+    azimuth ``phi``, and returns it. The random draws' axes go straight into
+    the candidate table, which keeps the search's peak memory down."""
+    out[..., 2] = z
     r = np.sqrt(1.0 - z * z)
-    np.multiply(r, np.cos(phi), out=n[..., 0])
-    np.multiply(r, np.sin(phi), out=n[..., 1])
-    return n
+    np.multiply(r, np.cos(phi), out=out[..., 0])
+    np.multiply(r, np.sin(phi), out=out[..., 1])
+    return out
 
 
-def _grid_params(g: int):
-    """Coarse grid of filter pairs (a, n, b, m); includes a = b = 0.
+def _empty_table(size: int):
+    """An unfilled candidate table (a, n, b, m) of ``size`` filter pairs."""
+    return np.empty(size), np.empty((size, 3)), np.empty(size), np.empty((size, 3))
+
+
+def _grid_params(g: int, a, n, b, m):
+    """Writes the coarse grid of filter pairs into the table (a, n, b, m) of
+    g**6 rows; the grid includes a = b = 0.
 
     Each party's g*g axes (g polar angles in [0, pi], g azimuths) are
     built once as a table; the grid is every combination of strength and
-    axis for both parties, duplicate filter pairs included.
+    axis for both parties, duplicate filter pairs included. Its index
+    arrays are freed on return.
     """
     a_vals = np.linspace(0.0, 0.96, g)
     z, phi = np.meshgrid(np.cos(np.linspace(0.0, math.pi, g)),
                          np.linspace(0.0, 2.0 * math.pi, g, endpoint=False), indexing="ij")
-    axes = _axes(z, phi).reshape(-1, 3)
+    axes = _axes(z, phi, np.empty((g, g, 3))).reshape(-1, 3)
     ia, jn, ib, jm = np.unravel_index(np.arange(g**6), (g, g * g, g, g * g))
-    return a_vals[ia], axes[jn], a_vals[ib], axes[jm]
+    np.take(a_vals, ia, out=a)
+    np.take(axes, jn, axis=0, out=n)
+    np.take(a_vals, ib, out=b)
+    np.take(axes, jm, axis=0, out=m)
 
 
-def _random_params(rng: np.random.Generator, count: int):
-    """Uniform draws: logistic strengths of a uniform stretched coordinate in
+def _random_params(rng: np.random.Generator, a, n, b, m):
+    """Writes uniform draws into the table (a, n, b, m), one row per draw:
+    logistic strengths of a uniform stretched coordinate in
     [-_U_RANGE, _U_RANGE], area-uniform axes."""
-    u = rng.random((count, 6))
-    a = 1.0 / (1.0 + np.exp(-(2.0 * u[:, 0] - 1.0) * _U_RANGE))
-    b = 1.0 / (1.0 + np.exp(-(2.0 * u[:, 3] - 1.0) * _U_RANGE))
-    n = _axes(1.0 - 2.0 * u[:, 1], 2.0 * math.pi * u[:, 2])
-    m = _axes(1.0 - 2.0 * u[:, 4], 2.0 * math.pi * u[:, 5])
-    return a, n, b, m
+    u = rng.random((len(a), 6))
+    a[:] = 1.0 / (1.0 + np.exp(-(2.0 * u[:, 0] - 1.0) * _U_RANGE))
+    b[:] = 1.0 / (1.0 + np.exp(-(2.0 * u[:, 3] - 1.0) * _U_RANGE))
+    _axes(1.0 - 2.0 * u[:, 1], 2.0 * math.pi * u[:, 2], n)
+    _axes(1.0 - 2.0 * u[:, 4], 2.0 * math.pi * u[:, 5], m)
 
 
 def _top_indices(g, k):
@@ -193,7 +199,12 @@ class _Refinement(NamedTuple):
     value: np.ndarray  # (k,) objective at the end points
     iterations: np.ndarray  # (k,)
     converged: np.ndarray  # (k,) stopped as no step improved it by _IMPROVE_TOL
-    evaluations: np.ndarray  # (k,)
+
+    @property
+    def evaluations(self) -> np.ndarray:
+        """(k,) points evaluated per start: its start, then the trial steps
+        of each iteration."""
+        return 1 + len(_ALPHAS) * self.iterations
 
 
 def _quasi_newton(f, x0, max_iter):
@@ -219,19 +230,17 @@ def _quasi_newton(f, x0, max_iter):
     hess_inv = np.repeat(np.eye(d)[None], k, axis=0)
     fresh = np.ones(k, dtype=bool)  # hess_inv is the identity
     iterations = np.zeros(k, dtype=int)
-    evaluations = np.ones(k, dtype=int)
     converged = np.zeros(k, dtype=bool)
     active = np.isfinite(g).all(axis=1)
     while True:
         act = np.flatnonzero(active & (iterations < max_iter))
         if act.size == 0:
-            return _Refinement(x, fx, iterations, converged, evaluations)
+            return _Refinement(x, fx, iterations, converged)
         p = -np.einsum("kij,kj->ki", hess_inv[act], g[act])
         trial = x[act, None] + _ALPHAS[:, None] * p[:, None]
         ft, gt = f(trial.reshape(-1, d))
         ft, gt = ft.reshape(act.size, -1), gt.reshape(act.size, -1, d)
         iterations[act] += 1
-        evaluations[act] += len(_ALPHAS)
         j = np.argmin(ft, axis=1)
         f_new = ft[np.arange(act.size), j]
         ok = f_new < fx[act] - _IMPROVE_TOL
@@ -280,19 +289,22 @@ def _chart(x):
 def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certificate:
     """Search filter pairs for a concurrence increase; certify the maximum.
 
-    Three stages share one budget, all counted in ``evaluations``: a coarse
-    grid (``grid_density`` points per parameter), ``restarts`` uniform
-    random draws, and quasi-Newton refinements of the best candidates, at
-    most ``local_steps`` iterations each, in each party's chart point u with
-    filter vector v = u / sqrt(1 + |u|^2): regular at the identity filter
-    u = 0, and reaching strengths near 1 as |u| grows. The root of rho that
-    the refinement's kernel calls share (:func:`~qlocc._kernels.gain_root`)
-    and the input concurrence are computed once per search. The objective
+    One budget, all counted in ``evaluations``, covers one candidate table
+    and the refinements that start from its best rows. The table holds a
+    coarse grid (``grid_density`` points per parameter, its
+    ``grid_density**6`` rows first) and then ``restarts`` uniform random
+    draws, and one :func:`~qlocc._kernels.filter_gain_batch` call scores it.
+    The quasi-Newton refinements run at most ``local_steps`` iterations
+    each, in each party's chart point u with filter vector
+    v = u / sqrt(1 + |u|^2): regular at the identity filter u = 0, and
+    reaching strengths near 1 as |u| grows. The root of rho that the
+    refinement's kernel calls share (:func:`~qlocc._kernels.gain_root`) and
+    the input concurrence are computed once per search. The objective
     is the directly computed concurrence of the filtered state minus the
     input concurrence; no transformation-law shortcut is used, so the
     certificate is independent of the law it corroborates. The best point
-    is the first largest gain of the grid, the random draws and the
-    refinements' end points, in that order.
+    is the table's first largest gain, or the refinements' best end point
+    where that gain is larger.
 
     Deterministic: identical config (including seed) yields an identical
     certificate. Raises :class:`~qlocc.errors.NotEntangled` when the input
@@ -302,19 +314,17 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     if c_in <= 0.0:
         raise NotEntangled("input state has zero concurrence; nothing to gain or lose")
     rng = np.random.default_rng(cfg.seed)
-    grid = _grid_params(cfg.grid_density)
-    grid_gains, grid_t = _kernels.filter_gain_batch(rho.mat, c_in, *grid)
-    rand = _random_params(rng, cfg.restarts)
-    rand_gains, rand_t = _kernels.filter_gain_batch(rho.mat, c_in, *rand)
+    grid_size = cfg.grid_density**6
+    table = _empty_table(grid_size + cfg.restarts)
+    _grid_params(cfg.grid_density, *(col[:grid_size] for col in table))
+    _random_params(rng, *(col[grid_size:] for col in table))
+    gains, t = _kernels.filter_gain_batch(rho.mat, c_in, *table)
 
-    # refinement seeds: the best candidates across both pools (grid first),
-    # as chart points u = v / sqrt(1 - |v|^2); only the chosen rows are gathered
-    pooled = np.concatenate([grid_gains, rand_gains])
-    top = _top_indices(pooled, _REFINE_TOP)
-    ng = len(grid_gains)
-    seeds = [((*grid, grid_t), i) if i < ng else ((*rand, rand_t), i - ng) for i in top]
-    u0 = np.array([[a[i] * n[i] / math.sqrt(1.0 - a[i] ** 2),
-                    b[i] * m[i] / math.sqrt(1.0 - b[i] ** 2)] for (a, n, b, m, _), i in seeds])
+    # refinement seeds: the table's best rows, gathered as chart points
+    # u = v / sqrt(1 - |v|^2)
+    top = _top_indices(gains, _REFINE_TOP)
+    u0 = np.concatenate([s[top, None] * v[top] / np.sqrt(1.0 - s[top] ** 2)[:, None]
+                         for s, v in (table[:2], table[2:])], axis=1)
     # the refinement's root, prepared once: its calls pay no eigh or svd of rho
     root = _kernels.gain_root(rho.mat)
 
@@ -326,24 +336,25 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
         # pulled back through dv/du = s (1 - v v^T)
         return -gains, -(s * (grad - v * (v * grad).sum(axis=-1, keepdims=True))).reshape(-1, 6)
 
-    refinement = _quasi_newton(neg_gains, u0.reshape(-1, 6), cfg.local_steps)
+    refinement = _quasi_newton(neg_gains, u0, cfg.local_steps)
     # the end points' probabilities, from a repeat call left out of evaluations;
     # a point's bits do not depend on its batch, so its gains are -refinement.value
     end, _ = _chart(refinement.x)
     end_gains, end_t, _ = _kernels.filter_gain_gradient(root, c_in, *end)
-    (a, n, b, m, t), i = seeds[0]  # the first best pooled point
-    gain, j = pooled[top[0]], int(np.argmax(end_gains))
-    if end_gains[j] > gain:
-        (a, n, b, m, t), i, gain = (*end, end_t), j, end_gains[j]
+    # the best point: the table's first largest gain, unless an end point beats it
+    i, j = top[0], int(np.argmax(end_gains))
+    if end_gains[j] > gains[i]:
+        table, t, gains, i = end, end_t, end_gains, j
+    a, n, b, m = table
     return Certificate(
         input_state=rho,
         config=cfg,
         concurrence_in=float(c_in),
-        best_gain=float(gain),
+        best_gain=float(gains[i]),
         best_filter_a=LocalFilter(strength=a[i], axis=n[i].copy(), scale=1.0 / (1.0 + a[i])),
         best_filter_b=LocalFilter(strength=b[i], axis=m[i].copy(), scale=1.0 / (1.0 + b[i])),
         probability=float(t[i]),
-        evaluations=len(pooled) + int(refinement.evaluations.sum()),
+        evaluations=grid_size + cfg.restarts + int(refinement.evaluations.sum()),
     )
 
 
@@ -402,13 +413,10 @@ def scale_factor_grid(F: float, grid_density: int = 100) -> ScaleFactorRow:
     integer (not a bool) in [2, ``MAX_SCALE_GRID_DENSITY``] (200), checked
     before it is built.
     """
-    F = float(F)
+    F = real_number("Werner fidelity F", F)
     if not 0.5 < F <= 1.0:
         raise DomainError(f"Werner fidelity F={F} must lie in (1/2, 1]")
-    if (isinstance(grid_density, bool) or not isinstance(grid_density, numbers.Integral)
-            or not 2 <= grid_density <= MAX_SCALE_GRID_DENSITY):
-        raise DomainError(f"grid_density must be an integer in [2, {MAX_SCALE_GRID_DENSITY}], "
-                          f"got {grid_density!r}")
+    integer_in_range("grid_density", grid_density, 2, MAX_SCALE_GRID_DENSITY)
     vals = np.linspace(0.0, 1.0, grid_density)
     u = np.linspace(-1.0, 1.0, grid_density)
     A, B, U = np.meshgrid(vals, vals, u, indexing="ij")
@@ -492,8 +500,7 @@ def randomization_convexity_check(states, weights) -> bool:
     w = np.asarray(weights, dtype=float).reshape(-1)
     if len(states) != w.shape[0]:
         raise DomainError("need one weight per state")
-    if not len(w) or not np.isfinite(w).all() or w.min() < -1e-12 or abs(w.sum() - 1.0) > 1e-12:
-        raise DomainError(f"invalid probability vector {w.tolist()}")
+    check_probability_vector(w)
     mixed = DensityMatrix(sum(wi * s.mat for wi, s in zip(w, states)))
     lhs = entanglement_of_formation(mixed)
     rhs = float(sum(wi * entanglement_of_formation(s) for wi, s in zip(w, states)))

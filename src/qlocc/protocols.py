@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from qlocc.errors import DomainError, TargetNotReached
-from qlocc.states import BELL_AMPS, I2, SY, make_werner
+from qlocc.states import BELL_AMPS, I2, SY, integer_in_range, make_werner, real_number
 
 _PHI_PLUS_PROJ = np.outer(BELL_AMPS[3], BELL_AMPS[3].conj())
 # maps the singlet to (a phase times) Phi+, taking Werner to isotropic form
@@ -48,7 +48,7 @@ def collective_step(F: float) -> tuple[float, float]:
     twirls it back to Werner form. Returns the new fidelity and the
     success probability; the fidelity strictly increases on (1/2, 1).
     """
-    F = float(F)
+    F = real_number("recurrence input fidelity F", F)
     if not 0.5 < F < 1.0:
         raise DomainError(f"recurrence input fidelity F={F} must lie in (1/2, 1)")
     chi = _TO_PHI @ make_werner(F).mat @ _TO_PHI.conj().T  # isotropic, Phi+ overlap F
@@ -87,13 +87,12 @@ def iterate_to_target(F0: float, F_target: float, max_steps: int) -> RecurrenceT
     attached) when ``max_steps`` runs out first. A start at or above the
     target returns an empty trace.
     """
-    F0, F_target = float(F0), float(F_target)
+    F0, F_target = real_number("start fidelity F0", F0), real_number("target fidelity", F_target)
     if not 0.5 < F0 < 1.0:
         raise DomainError(f"start fidelity F0={F0} must lie in (1/2, 1)")
     if not 0.5 < F_target < 1.0:
         raise DomainError(f"target fidelity {F_target} must lie in (1/2, 1)")
-    if max_steps < 0:
-        raise DomainError("max_steps must be nonnegative")
+    max_steps = integer_in_range("max_steps", max_steps, 0)
     steps: list[RecurrenceStep] = []
     f = F0
     while f < F_target and len(steps) < max_steps:

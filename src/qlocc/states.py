@@ -7,6 +7,7 @@ are ordered (Psi-, Psi+, Phi-, Phi+), singlet first.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,34 @@ I2 = np.eye(2, dtype=np.complex128)
 _SIGMA = np.stack((I2, SX, SY, SZ))
 # sigma_i x sigma_j at index 4i + j, with sigma_0 = 1
 _PAULI_PRODUCTS = np.einsum("iab,jcd->ijacbd", _SIGMA, _SIGMA).reshape(16, 4, 4)
+
+
+def real_number(name: str, value) -> float:
+    """``value`` as a float. Raises :class:`~qlocc.errors.DomainError`
+    unless it is a real number: an int or a float, numpy's included, and
+    not a bool, str, None or complex."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
+def integer_in_range(name: str, value, least: int, most: int | None = None) -> int:
+    """``value`` as an int. Raises :class:`~qlocc.errors.DomainError`
+    unless it is an integer, numpy's included and not a bool, in
+    [``least``, ``most``] (no upper bound when ``most`` is None)."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Integral)
+            or value < least or (most is not None and value > most)):
+        bounds = f">= {least}" if most is None else f"in [{least}, {most}]"
+        raise DomainError(f"{name} must be an integer {bounds}, got {value!r}")
+    return int(value)
+
+
+def check_probability_vector(p: np.ndarray) -> None:
+    """Raises :class:`~qlocc.errors.DomainError` unless the float vector
+    ``p`` is a probability vector: not empty, finite, no entry below -1e-12,
+    summing to 1 within 1e-12."""
+    if not len(p) or not np.isfinite(p).all() or p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-12:
+        raise DomainError(f"invalid probability vector {p.tolist()}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -99,7 +128,7 @@ def make_werner(F: float) -> DensityMatrix:
     W(F) = F S + (1-F)/3 (1 - S), where S is the singlet projector and F
     its overlap with the result. Entangled exactly when F > 1/2.
     """
-    F = float(F)
+    F = real_number("Werner fidelity F", F)
     if not 0.0 <= F <= 1.0:
         raise DomainError(f"Werner fidelity F={F} outside [0, 1]")
     return DensityMatrix(F * SINGLET_PROJ + (1.0 - F) / 3.0 * (np.eye(4) - SINGLET_PROJ))
@@ -110,8 +139,7 @@ def make_bell_diagonal(p) -> DensityMatrix:
     p = np.asarray(p, dtype=float).reshape(-1)
     if p.shape != (4,):
         raise DomainError("expected exactly 4 probabilities")
-    if not np.isfinite(p).all() or p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-12:
-        raise DomainError(f"invalid probability vector {p.tolist()}")
+    check_probability_vector(p)
     m = np.zeros((4, 4), dtype=np.complex128)
     for pi, amps in zip(p, BELL_AMPS):
         m += pi * np.outer(amps, amps.conj())

@@ -30,6 +30,10 @@ def kron_oracle(a, b):
     return out
 
 
+# inputs that a fidelity or a tolerance must reject as not real numbers;
+# True is rejected too, though float(True) would read it as 1.0
+NOT_REAL_NUMBERS = ("0.75", "abc", True, None, 1j)
+
 # sy x sy written out by hand for oracle use
 YY_ORACLE = np.array(
     [

@@ -10,7 +10,13 @@ import pytest
 from qlocc import _kernels, states
 from qlocc.entanglement import concurrence
 from qlocc.errors import ConvergenceFailure, SpectrumError
-from qlocc.nogo import SearchConfig, _random_params, certificate_to_dict, maximize_concurrence_gain
+from qlocc.nogo import (
+    SearchConfig,
+    _empty_table,
+    _random_params,
+    certificate_to_dict,
+    maximize_concurrence_gain,
+)
 
 from conftest import (
     random_density_matrix,
@@ -247,7 +253,9 @@ def test_gain_root_chunks_rarely_fall_back(rng, monkeypatch):
     rows = _svd_rows(monkeypatch)
     rhos = [states.make_werner(0.8).mat] + [random_density_matrix(rng).mat for _ in range(3)]
     for rho in rhos:
-        gains, _ = _kernels.filter_gain_batch(rho, 0.0, *_random_params(rng, _kernels.CHUNK))
+        draws = _empty_table(_kernels.CHUNK)
+        _random_params(rng, *draws)
+        gains, _ = _kernels.filter_gain_batch(rho, 0.0, *draws)
         assert np.isfinite(gains).all()
         assert sum(count for count, _ in rows) <= 0.01 * _kernels.CHUNK
         rows.clear()

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from qlocc import nogo, states
+from qlocc import _kernels, nogo, states
 from qlocc.entanglement import concurrence, entanglement_of_formation
 from qlocc.errors import DomainError, NotEntangled
 from qlocc.locc import LocalFilter, LocalOperation, apply_local_pair, normal_form
@@ -34,6 +34,7 @@ from qlocc.states import (
 )
 
 from conftest import (
+    NOT_REAL_NUMBERS,
     probability_floor_sequence,
     random_density_matrix,
     random_entangled_bell_diagonal,
@@ -68,6 +69,27 @@ def test_certificate_counts_evaluations():
     # stationary: each converges after one iteration of trial steps
     assert cert.evaluations == (SMALL.grid_density**6 + SMALL.restarts
                                 + _REFINE_TOP * (1 + len(_ALPHAS)))
+
+
+def test_search_scores_one_candidate_table(monkeypatch):
+    # one batch call scores the grid's rows and then the draws; the batch
+    # and the refinement prepare one root each
+    batches, roots = [], []
+    batch, gain_root = _kernels.filter_gain_batch, _kernels.gain_root
+    monkeypatch.setattr(_kernels, "filter_gain_batch",
+                        lambda rho, c_in, *table: batches.append(table) or batch(rho, c_in, *table))
+    monkeypatch.setattr(_kernels, "gain_root", lambda rho: roots.append(rho) or gain_root(rho))
+    maximize_concurrence_gain(make_werner(0.8), SMALL)
+    assert len(batches) == 1 and len(roots) == 2
+    grid_size = SMALL.grid_density**6
+    a, n, b, m = batches[0]
+    assert len(a) == len(n) == len(b) == len(m) == grid_size + SMALL.restarts
+    strengths = np.linspace(0.0, 0.96, SMALL.grid_density)
+    assert np.isin(a[:grid_size], strengths).all() and np.isin(b[:grid_size], strengths).all()
+    draws = nogo._empty_table(SMALL.restarts)
+    nogo._random_params(np.random.default_rng(SMALL.seed), *draws)
+    for column, drawn in zip(batches[0], draws):
+        assert np.array_equal(column[grid_size:], drawn)
 
 
 @pytest.mark.parametrize("size", [1, 5, 6, 7, 40, 3000])
@@ -351,10 +373,11 @@ def test_search_config_validation():
             SearchConfig(**bad)
     with pytest.raises(DomainError):
         SearchConfig(tolerance=0.0)
-    for bad in (math.nan, math.inf, "1e-7", None, 1j, True):
+    for bad in (math.nan, math.inf, -1, "1e-7") + NOT_REAL_NUMBERS:
         with pytest.raises(DomainError, match="tolerance"):
             SearchConfig(tolerance=bad)
     assert SearchConfig(tolerance=np.float64(1e-6)).tolerance == 1e-6
+    assert SearchConfig(tolerance=1).tolerance == 1
 
 
 # --- scale factor bound ---
@@ -382,6 +405,10 @@ def test_scale_factor_vanishes_at_projector_limit():
 def test_scale_factor_domain():
     with pytest.raises(DomainError):
         scale_factor_grid(0.5).max_factor
+    for bad in NOT_REAL_NUMBERS:
+        with pytest.raises(DomainError, match="real number"):
+            scale_factor_grid(bad, grid_density=3)
+    assert scale_factor_grid(1, grid_density=3) == scale_factor_grid(np.float64(1.0), grid_density=3)
     with pytest.raises(DomainError):
         scale_factor_grid(0.75, grid_density=1)
     with pytest.raises(DomainError):

@@ -9,7 +9,7 @@ from qlocc.protocols import (
     trace_to_csv,
 )
 
-from conftest import collective_step_closed_form
+from conftest import NOT_REAL_NUMBERS, collective_step_closed_form
 
 
 def test_simulation_matches_closed_form():
@@ -46,6 +46,10 @@ def test_step_domain():
     for bad in [0.5, 0.2, 1.0, 1.2]:
         with pytest.raises(DomainError):
             collective_step(bad)
+    for bad in NOT_REAL_NUMBERS:
+        with pytest.raises(DomainError, match="real number"):
+            collective_step(bad)
+    assert collective_step(np.float64(0.75)) == collective_step(0.75)
 
 
 def test_iterate_reaches_target():
@@ -80,6 +84,24 @@ def test_iterate_domain():
         iterate_to_target(0.4, 0.9, 8)
     with pytest.raises(DomainError):
         iterate_to_target(0.6, 1.0, 8)
+    for bad in NOT_REAL_NUMBERS:
+        with pytest.raises(DomainError, match="real number"):
+            iterate_to_target(bad, 0.9, 8)
+        with pytest.raises(DomainError, match="real number"):
+            iterate_to_target(0.6, bad, 8)
+    assert iterate_to_target(np.float64(0.6), 0.7, 16) == iterate_to_target(0.6, 0.7, 16)
+
+
+def test_iterate_max_steps_must_be_an_integer():
+    # a float, bool, str or None budget is rejected up front, not rounded
+    # up by the loop's comparison or failing inside it
+    for bad in (2.5, True, "3", None, -1, np.float64(2.0)):
+        with pytest.raises(DomainError, match="max_steps"):
+            iterate_to_target(0.55, 0.99, bad)
+    with pytest.raises(TargetNotReached) as exc_info:
+        iterate_to_target(0.55, 0.99, np.int64(3))
+    assert len(exc_info.value.trace.steps) == 3
+    assert iterate_to_target(0.6, 0.59, 0).steps == ()
 
 
 def test_trace_csv_format():

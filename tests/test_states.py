@@ -21,7 +21,7 @@ from qlocc.states import (
     validate,
 )
 
-from conftest import random_density_matrix
+from conftest import NOT_REAL_NUMBERS, random_density_matrix
 
 
 def test_werner_extreme_points():
@@ -45,6 +45,11 @@ def test_werner_domain():
         make_werner(-0.01)
     with pytest.raises(DomainError):
         make_werner(1.01)
+    for bad in NOT_REAL_NUMBERS:
+        with pytest.raises(DomainError, match="real number"):
+            make_werner(bad)
+    assert np.array_equal(make_werner(1).mat, make_werner(1.0).mat)
+    assert np.array_equal(make_werner(np.float64(0.5)).mat, make_werner(0.5).mat)
 
 
 def test_werner_entangled_iff_above_half():
