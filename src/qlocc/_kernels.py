@@ -140,13 +140,25 @@ def lambdas(x):
     return _svd(_root_tau(x))
 
 
+def kron(a, b):
+    """``np.kron`` of two 2-D arrays as one broadcast multiply.
+
+    It forms the same products a[i, j] b[k, l] as ``np.kron``, so it has the
+    same bits, without ``np.kron``'s general n-dimensional set-up, which
+    costs more than the multiply at 4x4 and 16x16.
+    """
+    out = a[:, None, :, None] * b[None, :, None, :]
+    return out.reshape(a.shape[0] * b.shape[0], a.shape[1] * b.shape[1])
+
+
 def concurrence_from_lambdas(lam):
     """l1 - l2 - l3 - l4, with noise below CONC_NOISE set to 0, capped at 1.
 
     Elementwise, so a spectrum's result does not depend on the stack it
     comes in (a matrix product would reach BLAS, whose rounding does). The
     trailing axis the slices keep lets one in-place noise snap serve a
-    single spectrum and a stack alike.
+    single spectrum and a stack alike. The snap writes into the difference
+    array only; ``lam`` is read, so a read-only spectrum serves.
     """
     c = lam[..., :1] - lam[..., 1:2] - lam[..., 2:3] - lam[..., 3:]
     np.minimum(1.0, c, out=c)

@@ -7,6 +7,11 @@ kernels' singular-value route (``qlocc._kernels``); concurrence is
 max(0, l1 - l2 - l3 - l4) and the entanglement of formation follows from it
 through the binary entropy. Ratios of the lambdas are unchanged by any
 invertible local filtering, which makes them single-copy invariants.
+
+A :class:`~qlocc.states.DensityMatrix` holds a read-only copy of its matrix
+and computes its spectrum once (``DensityMatrix.lambdas``); the spectrum,
+the concurrence, the entanglement of formation and the ratios of one state
+all read it.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qlocc._kernels import concurrence4, lambdas, state_root
+from qlocc._kernels import concurrence_from_lambdas
 from qlocc.states import SY, DensityMatrix
 
 _YY = np.kron(SY, SY)
@@ -59,7 +64,7 @@ def lambda_spectrum(rho: DensityMatrix) -> LambdaSpectrum:
     zeros do not pick up sqrt(eps) noise; an eigenvalue below -1e-9 raises
     :class:`~qlocc.errors.SpectrumError`.
     """
-    return LambdaSpectrum(tuple(lambdas(state_root(rho.mat)).tolist()))
+    return LambdaSpectrum(tuple(rho.lambdas.tolist()))
 
 
 def concurrence(rho: DensityMatrix) -> float:
@@ -68,7 +73,7 @@ def concurrence(rho: DensityMatrix) -> float:
     Values below the rounding noise scale are returned as exactly zero,
     the positive-side counterpart of the max with zero.
     """
-    return concurrence4(rho.mat)
+    return float(concurrence_from_lambdas(rho.lambdas))
 
 
 def binary_entropy(p: float) -> float:
@@ -91,7 +96,7 @@ def entanglement_of_formation(rho: DensityMatrix) -> float:
 
 def invariant_ratios(rho: DensityMatrix) -> InvariantRatios:
     """Lambda ratios normalized by the largest entry."""
-    lams = lambda_spectrum(rho).lambdas
+    lams = rho.lambdas.tolist()
     if lams[0] == 0.0:
         return InvariantRatios((0.0, 0.0, 0.0))
     return InvariantRatios(tuple(l / lams[0] for l in lams[1:]))

@@ -10,13 +10,14 @@ closed factor mu^2 nu^2 (1-a^2)(1-b^2) / t.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from qlocc._kernels import TOL_PROB
+from qlocc._kernels import TOL_PROB, kron
 from qlocc.entanglement import concurrence
 from qlocc.errors import DomainError, FilteredOut, NotAttained, NotPhysical
-from qlocc.states import I2, SX, SY, SZ, DensityMatrix, PauliRep
+from qlocc.states import I2, SX, SY, SZ, DensityMatrix, PauliRep, real_number
 
 # normal form: largest marginal deviation from 1/2 (trace-normalized) at
 # which both marginals count as proportional to the identity, and the
@@ -30,18 +31,20 @@ _Z_AXIS = np.array([0.0, 0.0, 1.0])
 @dataclass(frozen=True, eq=False)
 class LocalFilter:
     """Filtration nu(1 + a n.sigma): strength a in [0,1], unit axis n,
-    scale nu in (0, 1/(1+a)] so both eigenvalues nu(1 +- a) stay in [0,1]."""
+    scale nu in (0, 1/(1+a)] so both eigenvalues nu(1 +- a) stay in [0,1].
+    ``axis`` is a read-only copy of the given vector."""
 
     strength: float
     axis: np.ndarray
     scale: float
 
     def __post_init__(self):
-        axis = np.asarray(self.axis, dtype=float).reshape(3)
+        axis = np.array(self.axis, dtype=float).reshape(3)
         if not abs(np.linalg.norm(axis) - 1.0) <= 1e-12:  # NaN fails too
             raise DomainError(f"filter axis {axis.tolist()} is not a unit vector")
-        a = float(self.strength)
-        nu = float(self.scale)
+        axis.flags.writeable = False
+        a = real_number("filter strength a", self.strength)
+        nu = real_number("filter scale nu", self.scale)
         if not 0.0 <= a <= 1.0:
             raise DomainError(f"filter strength a={a} outside [0, 1]")
         if not 0.0 < nu <= 1.0 / (1.0 + a) + 1e-12:
@@ -53,22 +56,27 @@ class LocalFilter:
 
 @dataclass(frozen=True, eq=False)
 class LocalOperation:
-    """A general single-party branch operator, expressed as unitary * filter."""
+    """A general single-party branch operator, expressed as unitary * filter.
+    ``unitary`` is a read-only copy of the given matrix, and ``matrix``, the
+    read-only product, is computed once."""
 
     unitary: np.ndarray
     filter: LocalFilter
 
     def __post_init__(self):
-        u = np.ascontiguousarray(self.unitary, dtype=np.complex128)
+        u = np.array(self.unitary, dtype=np.complex128, order="C")
         if u.shape != (2, 2):
             raise DomainError("unitary must be 2x2")
         if not np.linalg.norm(u @ u.conj().T - I2) <= 1e-10:  # NaN fails too
             raise DomainError("operator factor is not unitary within 1e-10")
+        u.flags.writeable = False
         object.__setattr__(self, "unitary", u)
 
-    @property
+    @cached_property
     def matrix(self) -> np.ndarray:
-        return self.unitary @ filter_matrix(self.filter)
+        m = self.unitary @ filter_matrix(self.filter)
+        m.flags.writeable = False
+        return m
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,7 +139,7 @@ def decompose_local_op(A: np.ndarray) -> LocalOperation:
 
 def _conjugate(a: np.ndarray, b: np.ndarray, m: np.ndarray) -> np.ndarray:
     """(A x B) m (A x B)+ for 2x2 A, B and a 4x4 m."""
-    k = np.kron(a, b)
+    k = kron(a, b)
     return k @ m @ k.conj().T
 
 

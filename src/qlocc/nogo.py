@@ -351,8 +351,8 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
         config=cfg,
         concurrence_in=float(c_in),
         best_gain=float(gains[i]),
-        best_filter_a=LocalFilter(strength=a[i], axis=n[i].copy(), scale=1.0 / (1.0 + a[i])),
-        best_filter_b=LocalFilter(strength=b[i], axis=m[i].copy(), scale=1.0 / (1.0 + b[i])),
+        best_filter_a=LocalFilter(strength=a[i], axis=n[i], scale=1.0 / (1.0 + a[i])),
+        best_filter_b=LocalFilter(strength=b[i], axis=m[i], scale=1.0 / (1.0 + b[i])),
         probability=float(t[i]),
         evaluations=grid_size + cfg.restarts + int(refinement.evaluations.sum()),
     )
@@ -497,10 +497,9 @@ def procrustean_pure(psi: PureState) -> ProcrusteanResult:
 def randomization_convexity_check(states, weights) -> bool:
     """True when mixing loses entanglement: E(sum w_i rho_i) <= sum w_i E(rho_i),
     within 1e-10 slack."""
-    w = np.asarray(weights, dtype=float).reshape(-1)
+    w = check_probability_vector(weights)
     if len(states) != w.shape[0]:
         raise DomainError("need one weight per state")
-    check_probability_vector(w)
     mixed = DensityMatrix(sum(wi * s.mat for wi, s in zip(w, states)))
     lhs = entanglement_of_formation(mixed)
     rhs = float(sum(wi * entanglement_of_formation(s) for wi, s in zip(w, states)))

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from qlocc._kernels import kron
 from qlocc.errors import DomainError, TargetNotReached
 from qlocc.states import BELL_AMPS, I2, SY, integer_in_range, make_werner, real_number
 
@@ -37,6 +38,10 @@ _BILATERAL_CNOT = _cnot4(0, 2) @ _cnot4(1, 3)
 
 _MASK_00 = np.array([1.0 if (i >> 1) & 1 == 0 and i & 1 == 0 else 0.0 for i in range(16)])
 _MASK_11 = np.array([1.0 if (i >> 1) & 1 == 1 and i & 1 == 1 else 0.0 for i in range(16)])
+# the entries of the 16x16 density matrix kept when both second-pair
+# outcomes are 0, or both 1
+_KEEP_00 = np.outer(_MASK_00, _MASK_00)
+_KEEP_11 = np.outer(_MASK_11, _MASK_11)
 
 
 def collective_step(F: float) -> tuple[float, float]:
@@ -52,9 +57,9 @@ def collective_step(F: float) -> tuple[float, float]:
     if not 0.5 < F < 1.0:
         raise DomainError(f"recurrence input fidelity F={F} must lie in (1/2, 1)")
     chi = _TO_PHI @ make_werner(F).mat @ _TO_PHI.conj().T  # isotropic, Phi+ overlap F
-    total = np.kron(chi, chi)
+    total = kron(chi, chi)
     total = _BILATERAL_CNOT @ total @ _BILATERAL_CNOT.conj().T
-    kept = total * np.outer(_MASK_00, _MASK_00) + total * np.outer(_MASK_11, _MASK_11)
+    kept = total * _KEEP_00 + total * _KEEP_11
     p_succ = float(np.trace(kept).real)
     reduced = np.einsum("abcdefcd->abef", kept.reshape([2] * 8)).reshape(4, 4) / p_succ
     f_prime = float(np.trace(reduced @ _PHI_PLUS_PROJ).real)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,28 +60,50 @@ def integer_in_range(name: str, value, least: int, most: int | None = None) -> i
     return int(value)
 
 
-def check_probability_vector(p: np.ndarray) -> None:
-    """Raises :class:`~qlocc.errors.DomainError` unless the float vector
-    ``p`` is a probability vector: not empty, finite, no entry below -1e-12,
-    summing to 1 within 1e-12."""
+def check_probability_vector(p) -> np.ndarray:
+    """``p`` as a flat float vector. Raises
+    :class:`~qlocc.errors.DomainError` unless it is a probability vector:
+    numbers, not empty, finite, no entry below -1e-12, summing to 1 within
+    1e-12."""
+    try:
+        p = np.asarray(p, dtype=float).reshape(-1)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"probabilities must be real numbers, got {p!r}") from exc
     if not len(p) or not np.isfinite(p).all() or p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-12:
         raise DomainError(f"invalid probability vector {p.tolist()}")
+    return p
 
 
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A two-qubit density matrix: Hermitian, unit trace, PSD 4x4 matrix.
-    Construction checks its shape, and raises ``NotAState`` unless finite."""
+    Construction checks its shape, and raises ``NotAState`` unless finite.
+
+    ``mat`` is a read-only copy of the given matrix, so the state cannot
+    change after construction, and ``lambdas`` is computed once per state.
+    """
 
     mat: np.ndarray
 
     def __post_init__(self):
-        m = np.ascontiguousarray(self.mat, dtype=np.complex128)
+        m = np.array(self.mat, dtype=np.complex128, order="C")
         if m.shape != (4, 4):
             raise DomainError("density matrix must be 4x4")
         if not np.isfinite(m).all():
             raise NotAState("density matrix has a non-finite entry")
+        m.flags.writeable = False
         object.__setattr__(self, "mat", m)
+
+    @cached_property
+    def lambdas(self) -> np.ndarray:
+        """The descending lambda spectrum, read-only:
+        ``_kernels.lambdas(_kernels.state_root(mat))``, computed on first
+        use. Raises what :func:`~qlocc._kernels.state_root` raises."""
+        from qlocc import _kernels  # _kernels imports this module
+
+        lam = _kernels.lambdas(_kernels.state_root(self.mat))
+        lam.flags.writeable = False
+        return lam
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,10 +159,9 @@ def make_werner(F: float) -> DensityMatrix:
 
 def make_bell_diagonal(p) -> DensityMatrix:
     """Mixture of the four Bell states with probabilities p (singlet first)."""
-    p = np.asarray(p, dtype=float).reshape(-1)
+    p = check_probability_vector(p)
     if p.shape != (4,):
         raise DomainError("expected exactly 4 probabilities")
-    check_probability_vector(p)
     m = np.zeros((4, 4), dtype=np.complex128)
     for pi, amps in zip(p, BELL_AMPS):
         m += pi * np.outer(amps, amps.conj())

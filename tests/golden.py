@@ -1,11 +1,13 @@
-"""Golden certificates: certificate bodies whose bits are kept in ``golden.json``.
+"""Golden outputs: certificate and single-state bodies whose bits are kept
+in ``golden.json``.
 
-The file holds the bodies of four searches, together with the numpy version
-and the LAPACK build that produced them. ``test_golden`` recomputes each
-body. Where numpy and LAPACK match the recorded ones it compares them bit
-for bit; elsewhere it compares the numbers within the bounds below. A change
-that moves certificate bits regenerates the file, so the diff shows which
-fields moved and by how much:
+The file holds the bodies of four searches and of five single-state
+computations (four ``qlocc measure`` reports and one recurrence step),
+together with the numpy version and the LAPACK build that produced them.
+``test_golden`` recomputes each body. Where numpy and LAPACK match the
+recorded ones it compares them bit for bit; elsewhere it compares the
+numbers within the bounds below. A change that moves their bits regenerates
+the file, so the diff shows which fields moved and by how much:
 
     PYTHONPATH=src python tests/golden.py
 """
@@ -16,12 +18,14 @@ import contextlib
 import io
 import json
 import os
+import tempfile
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from qlocc import cli, nogo, states
+from qlocc import cli, locc, nogo, protocols, states
 
+from conftest import random_density_matrix, random_op
 from test_acceptance import BELL_CONFIG
 from test_nogo import SMALL, WERNER_EPSILONS, _perturbed, _power_states
 
@@ -83,6 +87,60 @@ GOLDEN = {
 }
 
 
+class Report(NamedTuple):
+    """One golden single-state computation and how to run it."""
+
+    input: str
+    compute: Callable[[], dict]
+
+
+def _cli_report(argv) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        cli.main(argv)
+    return json.loads(out.getvalue())["report"]
+
+
+def _state_report(rho) -> dict:
+    """The ``qlocc measure --state`` report of rho; the JSON file keeps
+    every bit of its matrix."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "state.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(states.density_matrix_to_dict(rho), fh)
+        return _cli_report(["measure", "--state", path])
+
+
+def random_state_and_image():
+    """A Hilbert-Schmidt state from ``default_rng(5)`` and its image under a
+    random operator pair drawn next from the same generator."""
+    rng = np.random.default_rng(5)
+    rho = random_density_matrix(rng)
+    return rho, locc.apply_local_pair(rho, random_op(rng), random_op(rng)).state
+
+
+def _collective_step(F) -> dict:
+    f_prime, p_succ = protocols.collective_step(F)
+    return {"fidelity_out": f_prime, "p_succ": p_succ}
+
+
+REPORTS = {
+    "werner-0.8-measure": Report(
+        "qlocc measure --werner 0.8", lambda: _cli_report(["measure", "--werner", "0.8"])),
+    "bell-diagonal-measure": Report(
+        "qlocc measure --bell 0.7,0.1,0.15,0.05",
+        lambda: _cli_report(["measure", "--bell", "0.7,0.1,0.15,0.05"])),
+    "random-full-rank-measure": Report(
+        "qlocc measure --state on golden.random_state_and_image()[0]",
+        lambda: _state_report(random_state_and_image()[0])),
+    "random-filtered-measure": Report(
+        "qlocc measure --state on golden.random_state_and_image()[1]",
+        lambda: _state_report(random_state_and_image()[1])),
+    "collective-step-0.7": Report(
+        "protocols.collective_step(0.7)", lambda: _collective_step(0.7)),
+}
+
+
 def environment() -> dict:
     """The numpy version and LAPACK build that certificate bits depend on."""
     return {"numpy": np.__version__, "lapack": cli._lapack()}
@@ -93,12 +151,18 @@ def entry(name: str) -> dict:
     return {"input": g.input, "body": g.certify()}
 
 
+def report_entry(name: str) -> dict:
+    r = REPORTS[name]
+    return {"input": r.input, "body": r.compute()}
+
+
 def render(doc) -> str:
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def main():
-    doc = {**environment(), "certificates": {name: entry(name) for name in GOLDEN}}
+    doc = {**environment(), "certificates": {name: entry(name) for name in GOLDEN},
+           "reports": {name: report_entry(name) for name in REPORTS}}
     with open(PATH, "w", encoding="utf-8") as fh:
         fh.write(render(doc))
     print(f"wrote {PATH}")

@@ -153,6 +153,37 @@ def test_lambda_spectrum_matches_hermitian_oracle(rng):
         assert lambda_spectrum(rho).lambdas == tuple(kernel.tolist())
 
 
+def test_one_spectrum_per_state(monkeypatch):
+    # the four quantities of one state share one root and one svd
+    calls = {"state_root": 0, "_svd": 0}
+    for name in calls:
+        def counted(*args, _fn=getattr(_kernels, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+        monkeypatch.setattr(_kernels, name, counted)
+    rho = make_bell_diagonal([0.7, 0.1, 0.15, 0.05])
+    lambda_spectrum(rho)
+    concurrence(rho)
+    entanglement_of_formation(rho)
+    invariant_ratios(rho)
+    assert calls == {"state_root": 1, "_svd": 1}
+
+
+def test_cached_spectrum_keeps_the_kernel_bits(rng):
+    # whichever quantity reads a state's spectrum first, all four equal the
+    # uncached kernel route bit for bit
+    for i in range(300):
+        rho = random_density_matrix(rng)
+        lam = _kernels.lambdas(_kernels.state_root(rho.mat)).tolist()
+        c = _kernels.concurrence4(rho.mat)
+        if i % 2:
+            assert concurrence(rho) == c
+        assert lambda_spectrum(rho).lambdas == tuple(lam)
+        assert concurrence(rho) == c
+        assert entanglement_of_formation(rho) == eof_from_concurrence(c)
+        assert invariant_ratios(rho).ratios == tuple(l / lam[0] for l in lam[1:])
+
+
 def test_lambda_spectrum_descending(rng):
     for _ in range(20):
         lam = lambda_spectrum(random_density_matrix(rng)).lambdas

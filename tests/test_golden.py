@@ -1,5 +1,5 @@
-"""Golden certificates: a search whose bits change fails here until
-``golden.json`` is regenerated (``PYTHONPATH=src python tests/golden.py``)."""
+"""Golden outputs: a search or single-state route whose bits change fails
+here until ``golden.json`` is regenerated (``PYTHONPATH=src python tests/golden.py``)."""
 
 import json
 import warnings
@@ -12,8 +12,9 @@ import golden
 with open(golden.PATH, encoding="utf-8") as _fh:
     RECORDED = json.load(_fh)
 
-# under another numpy or LAPACK build: the input state and its concurrence
-# are a few roundings of the same formulas
+# under another numpy or LAPACK build: the input state and its concurrence,
+# and every number of a single-state report, are a few roundings of the same
+# formulas
 INPUT_BOUND = 1e-12
 
 
@@ -30,19 +31,44 @@ def _numbers_agree(name, body, recorded):
         assert body["holds"] == recorded["holds"]
 
 
-@pytest.mark.parametrize("name", list(golden.GOLDEN))
-def test_golden_certificate(name):
-    recorded = RECORDED["certificates"][name]
-    computed = golden.entry(name)
+def _bytes_compared(computed, recorded) -> bool:
+    """Compares two entries byte for byte and returns True under the
+    recorded numpy and LAPACK build; elsewhere warns, compares the inputs
+    and returns False, leaving the numbers to the caller."""
     env = golden.environment()
     recorded_env = {"numpy": RECORDED["numpy"], "lapack": RECORDED["lapack"]}
     if env == recorded_env:
         assert golden.render(computed) == golden.render(recorded)
-        return
+        return True
     warnings.warn(f"byte check skipped: golden.json was made with {recorded_env}, "
                   f"this run has {env}; numbers compared within bounds")
     assert computed["input"] == recorded["input"]
-    _numbers_agree(name, computed["body"], recorded["body"])
+    return False
+
+
+@pytest.mark.parametrize("name", list(golden.GOLDEN))
+def test_golden_certificate(name):
+    recorded = RECORDED["certificates"][name]
+    computed = golden.entry(name)
+    if not _bytes_compared(computed, recorded):
+        _numbers_agree(name, computed["body"], recorded["body"])
+
+
+def _numbers(x):
+    if isinstance(x, dict):
+        return [v for key in sorted(x) for v in _numbers(x[key])]
+    if isinstance(x, list):
+        return [v for item in x for v in _numbers(item)]
+    return [x]
+
+
+@pytest.mark.parametrize("name", list(golden.REPORTS))
+def test_golden_report(name):
+    recorded = RECORDED["reports"][name]
+    computed = golden.report_entry(name)
+    if not _bytes_compared(computed, recorded):
+        np.testing.assert_allclose(_numbers(computed["body"]), _numbers(recorded["body"]),
+                                   rtol=0, atol=INPUT_BOUND)
 
 
 def test_bounds_catch_a_moved_gain():

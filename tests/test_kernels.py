@@ -476,3 +476,10 @@ def test_concurrence_noise_snap():
 
     # at the separability boundary the value is exactly zero, not eps noise
     assert _kernels.concurrence4(make_werner(0.5).mat) == 0.0
+
+
+def test_kron_has_the_bits_of_np_kron(rng):
+    for n in (2, 4):
+        for _ in range(200):
+            a, b = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)) for _ in range(2))
+            assert _kernels.kron(a, b).tobytes() == np.kron(a, b).tobytes()

@@ -22,6 +22,7 @@ from qlocc.locc import (
 from qlocc.states import DensityMatrix, density_from_pure, make_werner, to_pauli
 
 from conftest import (
+    NOT_REAL_NUMBERS,
     SY,
     compose_local_ops,
     random_density_matrix,
@@ -79,6 +80,25 @@ def test_filter_validation():
         LocalFilter(strength=0.5, axis=Z, scale=0.8)  # above 1/(1+a)
     with pytest.raises(DomainError):
         LocalFilter(strength=0.5, axis=Z, scale=0.0)
+    for bad in NOT_REAL_NUMBERS:
+        with pytest.raises(DomainError):
+            LocalFilter(strength=bad, axis=Z, scale=0.5)
+        with pytest.raises(DomainError):
+            LocalFilter(strength=0.5, axis=Z, scale=bad)
+
+
+def test_local_operation_holds_read_only_copies(rng):
+    u, axis = random_unitary(rng), Z.copy()
+    op = LocalOperation(unitary=u, filter=LocalFilter(strength=0.5, axis=axis, scale=0.5))
+    unitary, matrix = op.unitary.copy(), op.matrix.copy()
+    u[0, 0] = 7.0
+    axis[0] = 7.0
+    np.testing.assert_array_equal(op.unitary, unitary)
+    np.testing.assert_array_equal(op.filter.axis, Z)
+    np.testing.assert_array_equal(op.matrix, matrix)
+    for arr in (op.unitary, op.matrix, op.filter.axis):
+        with pytest.raises(ValueError):
+            arr[0] = 0.0
 
 
 def test_filter_eigenvalues_within_unit_interval(rng):

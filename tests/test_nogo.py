@@ -562,7 +562,7 @@ def test_convexity_weight_validation():
         randomization_convexity_check([make_werner(0.8), make_werner(0.7)], [0.7, 0.4])
     with pytest.raises(DomainError):
         randomization_convexity_check([], [])
-    for bad in ([math.nan, 1.0], [math.inf, 0.0], [0.5, math.nan]):
+    for bad in ([math.nan, 1.0], [math.inf, 0.0], [0.5, math.nan], ["a", 1], [None, 1]):
         with pytest.raises(DomainError):
             randomization_convexity_check([make_werner(0.8), make_werner(0.7)], bad)
 

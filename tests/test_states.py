@@ -88,9 +88,22 @@ def test_bell_diagonal_domain():
         make_bell_diagonal([0.5, 0.5, 0.5, -0.5])
     with pytest.raises(DomainError):
         make_bell_diagonal([0.3, 0.3, 0.3, 0.3])
-    for bad in (np.nan, np.inf):
+    for bad in (np.nan, np.inf, "a", None, [0.5, 0.5]):
         with pytest.raises(DomainError):
             make_bell_diagonal([bad, 0.0, 0.0, 1.0])
+
+
+def test_density_matrix_holds_a_read_only_copy():
+    m = make_werner(0.8).mat.copy()
+    rho = DensityMatrix(m)
+    lam = rho.lambdas.copy()
+    m[0, 0] = 7.0
+    np.testing.assert_array_equal(rho.mat, make_werner(0.8).mat)
+    with pytest.raises(ValueError):
+        rho.mat[0, 0] = 7.0
+    with pytest.raises(ValueError):
+        rho.lambdas[0] = 7.0
+    np.testing.assert_array_equal(rho.lambdas, lam)
 
 
 def test_pauli_algebra_exact():
