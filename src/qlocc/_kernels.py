@@ -167,7 +167,12 @@ def concurrence_from_lambdas(lam):
 
 
 def concurrence4(rho):
-    """Concurrence of a normalized two-qubit density matrix (4x4 array)."""
+    """Concurrence of a normalized two-qubit density matrix (4x4 array).
+
+    No package code calls it: the package reads a state's concurrence from
+    its one spectrum, ``DensityMatrix.lambdas``. It stays for the tests and
+    for perfbench's tracer, which looks it up by name.
+    """
     return float(concurrence_from_lambdas(lambdas(state_root(rho))))
 
 

@@ -53,6 +53,10 @@ class LocalFilter:
         object.__setattr__(self, "strength", a)
         object.__setattr__(self, "scale", nu)
 
+    def __reduce__(self):
+        # rebuilt through the constructor, so the axis stays read-only
+        return LocalFilter, (self.strength, self.axis, self.scale)
+
 
 @dataclass(frozen=True, eq=False)
 class LocalOperation:
@@ -71,6 +75,11 @@ class LocalOperation:
             raise DomainError("operator factor is not unitary within 1e-10")
         u.flags.writeable = False
         object.__setattr__(self, "unitary", u)
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so the unitary stays read-only
+        # and the matrix is recomputed on use
+        return LocalOperation, (self.unitary, self.filter)
 
     @cached_property
     def matrix(self) -> np.ndarray:

@@ -86,6 +86,7 @@ class SearchConfig:
     (4,000,000), checked before the candidate table is allocated. All
     randomness flows from ``seed``, a non-negative integer (not a bool).
     ``tolerance`` must be a positive, finite real number (not a bool).
+    The fields hold the checked values as a Python int and float.
     """
 
     restarts: int = 64
@@ -96,14 +97,16 @@ class SearchConfig:
 
     def __post_init__(self):
         for name, least in (("restarts", 1), ("grid_density", 1), ("local_steps", 1), ("seed", 0)):
-            integer_in_range(name, getattr(self, name), least)
-        for name, points in (("grid_density**6", int(self.grid_density) ** 6),
-                             ("restarts", int(self.restarts))):
+            object.__setattr__(self, name, integer_in_range(name, getattr(self, name), least))
+        for name, points in (("grid_density**6", self.grid_density**6),
+                             ("restarts", self.restarts)):
             if points > MAX_STAGE_POINTS:
                 raise DomainError(f"{name} = {points} exceeds the {MAX_STAGE_POINTS} points "
                                   "one search stage may hold")
-        if not 0.0 < real_number("tolerance", self.tolerance) < math.inf:
+        tolerance = real_number("tolerance", self.tolerance)
+        if not 0.0 < tolerance < math.inf:
             raise DomainError(f"tolerance must be positive and finite, got {self.tolerance!r}")
+        object.__setattr__(self, "tolerance", tolerance)
 
 
 @dataclass(frozen=True, eq=False)
@@ -213,7 +216,7 @@ def _quasi_newton(f, x0, max_iter):
 
     ``f`` maps a (k, d) array of points to their k values and their (k, d)
     gradients. The first call evaluates every start. Each iteration then
-    makes one call, on the ``_ALPHAS`` trial steps along every active
+    makes one call, on the ``_ALPHAS`` trial steps along every running
     start's direction -H g, and the gradient at each start's best improving
     trial comes back with it. A start whose trials all fail to improve it by
     more than ``_IMPROVE_TOL`` retries once along -g with H reset to the
@@ -223,55 +226,53 @@ def _quasi_newton(f, x0, max_iter):
     (unconverged) at a non-finite gradient. So a start uses at most
     1 + max_iter len(_ALPHAS) evaluations, and a call holds at most
     k len(_ALPHAS) points.
+
+    The loop holds x, f, g, H and whether H is a fresh identity for the
+    running starts only, with ``rows``, each one's row of the result. The
+    starts move in lockstep, so all have made ``it`` iterations; a start's
+    result is written once, in the iteration it stops.
     """
     k, d = x0.shape
-    x = x0.copy()
-    fx, g = f(x)
-    hess_inv = np.repeat(np.eye(d)[None], k, axis=0)
-    fresh = np.ones(k, dtype=bool)  # hess_inv is the identity
-    iterations = np.zeros(k, dtype=int)
-    converged = np.zeros(k, dtype=bool)
-    active = np.isfinite(g).all(axis=1)
-    while True:
-        act = np.flatnonzero(active & (iterations < max_iter))
-        if act.size == 0:
-            return _Refinement(x, fx, iterations, converged)
-        p = -np.einsum("kij,kj->ki", hess_inv[act], g[act])
-        trial = x[act, None] + _ALPHAS[:, None] * p[:, None]
+    fx, g = f(x0)
+    out = _Refinement(x0.copy(), fx, np.zeros(k, dtype=int), np.zeros(k, dtype=bool))
+    rows = np.flatnonzero(np.isfinite(g).all(axis=1))
+    x, fx, g = x0[rows], fx[rows], g[rows]
+    hess_inv = np.repeat(np.eye(d)[None], rows.size, axis=0)
+    fresh = np.ones(rows.size, dtype=bool)
+    for it in range(1, max_iter + 1):
+        if rows.size == 0:
+            break
+        p = -np.einsum("kij,kj->ki", hess_inv, g)
+        trial = x[:, None] + _ALPHAS[:, None] * p[:, None]
         ft, gt = f(trial.reshape(-1, d))
-        ft, gt = ft.reshape(act.size, -1), gt.reshape(act.size, -1, d)
-        iterations[act] += 1
-        j = np.argmin(ft, axis=1)
-        f_new = ft[np.arange(act.size), j]
-        ok = f_new < fx[act] - _IMPROVE_TOL
-        failed = act[~ok]
-        done = failed[fresh[failed]]
-        active[done], converged[done] = False, True
-        retry = failed[~fresh[failed]]
-        hess_inv[retry], fresh[retry] = np.eye(d), True
-        moved = act[ok]
-        if moved.size == 0:
-            continue
-        s = trial[ok, j[ok]] - x[moved]
-        g_new = gt[ok, j[ok]]
-        x[moved], fx[moved] = trial[ok, j[ok]], f_new[ok]
-        y = g_new - g[moved]
-        g[moved] = g_new
-        finite = np.isfinite(g_new).all(axis=1)
-        active[moved[~finite]] = False
+        ft = ft.reshape(rows.size, -1)
+        best = np.arange(rows.size), np.argmin(ft, axis=1)
+        x_new, f_new, g_new = trial[best], ft[best], gt.reshape(trial.shape)[best]
+        ok = f_new < fx - _IMPROVE_TOL
+        converged = ~ok & fresh
+        stop = converged | (ok & ~np.isfinite(g_new).all(axis=1)) | (it == max_iter)
+        upd = np.flatnonzero(ok & ~stop)
+        s, y = x_new[upd] - x[upd], g_new[upd] - g[upd]
+        x[ok], fx[ok], g[ok] = x_new[ok], f_new[ok], g_new[ok]
+        hess_inv[~ok], fresh[~ok] = np.eye(d), True
         # update where the curvature condition holds; a fresh identity is
         # first scaled to s.y / y.y
         sy = np.einsum("ki,ki->k", s, y)
-        upd = finite & (sy > 1e-12 * np.linalg.norm(s, axis=1) * np.linalg.norm(y, axis=1))
-        moved, s, y, sy = moved[upd], s[upd], y[upd], sy[upd]
-        h = hess_inv[moved]
-        scale = np.where(fresh[moved], sy / np.einsum("ki,ki->k", y, y), 1.0)
-        h *= scale[:, None, None]
+        curv = sy > 1e-12 * np.linalg.norm(s, axis=1) * np.linalg.norm(y, axis=1)
+        upd, s, y, sy = upd[curv], s[curv], y[curv], sy[curv]
+        scale = np.where(fresh[upd], sy / np.einsum("ki,ki->k", y, y), 1.0)
+        h = hess_inv[upd] * scale[:, None, None]
         rho = 1.0 / sy
         v = np.eye(d) - rho[:, None, None] * s[:, :, None] * y[:, None, :]
-        hess_inv[moved] = (v @ h @ np.swapaxes(v, 1, 2)
-                           + rho[:, None, None] * s[:, :, None] * s[:, None, :])
-        fresh[moved] = False
+        hess_inv[upd] = (v @ h @ np.swapaxes(v, 1, 2)
+                         + rho[:, None, None] * s[:, :, None] * s[:, None, :])
+        fresh[upd] = False
+        if stop.any():
+            ended, keep = rows[stop], ~stop
+            out.x[ended], out.value[ended] = x[stop], fx[stop]
+            out.iterations[ended], out.converged[ended] = it, converged[stop]
+            rows, x, fx, g, hess_inv, fresh = (a[keep] for a in (rows, x, fx, g, hess_inv, fresh))
+    return out
 
 
 def _chart(x):
@@ -298,8 +299,9 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     each, in each party's chart point u with filter vector
     v = u / sqrt(1 + |u|^2): regular at the identity filter u = 0, and
     reaching strengths near 1 as |u| grows. The root of rho that the
-    refinement's kernel calls share (:func:`~qlocc._kernels.gain_root`) and
-    the input concurrence are computed once per search. The objective
+    refinement's kernel calls share (:func:`~qlocc._kernels.gain_root`) is
+    computed once per search, and the input concurrence comes from the
+    state's one spectrum (``DensityMatrix.lambdas``). The objective
     is the directly computed concurrence of the filtered state minus the
     input concurrence; no transformation-law shortcut is used, so the
     certificate is independent of the law it corroborates. The best point
@@ -310,7 +312,7 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     certificate. Raises :class:`~qlocc.errors.NotEntangled` when the input
     carries no concurrence to begin with.
     """
-    c_in = _kernels.concurrence4(rho.mat)
+    c_in = concurrence(rho)
     if c_in <= 0.0:
         raise NotEntangled("input state has zero concurrence; nothing to gain or lose")
     rng = np.random.default_rng(cfg.seed)
@@ -371,11 +373,11 @@ def certificate_to_dict(cert: Certificate) -> dict:
     return {
         "input_state": density_matrix_to_dict(cert.input_state),
         "config": {
-            "restarts": int(cert.config.restarts),
-            "grid_density": int(cert.config.grid_density),
-            "local_steps": int(cert.config.local_steps),
-            "seed": int(cert.config.seed),
-            "tolerance": float(cert.config.tolerance),
+            "restarts": cert.config.restarts,
+            "grid_density": cert.config.grid_density,
+            "local_steps": cert.config.local_steps,
+            "seed": cert.config.seed,
+            "tolerance": cert.config.tolerance,
         },
         "concurrence_in": float(cert.concurrence_in),
         "best_gain": float(cert.best_gain),

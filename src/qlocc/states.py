@@ -94,6 +94,11 @@ class DensityMatrix:
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
 
+    def __reduce__(self):
+        # copies and pickles are rebuilt through the constructor, which
+        # marks their matrix read-only; the spectrum is recomputed on use
+        return DensityMatrix, (self.mat,)
+
     @cached_property
     def lambdas(self) -> np.ndarray:
         """The descending lambda spectrum, read-only:

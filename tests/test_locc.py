@@ -1,5 +1,7 @@
+import copy as copy_module
 import math
 import os
+import pickle
 import sys
 
 import numpy as np
@@ -99,6 +101,21 @@ def test_local_operation_holds_read_only_copies(rng):
     for arr in (op.unitary, op.matrix, op.filter.axis):
         with pytest.raises(ValueError):
             arr[0] = 0.0
+
+
+def test_copies_and_pickles_stay_read_only(rng):
+    # a copy is rebuilt through its constructor: its arrays are read-only
+    # again and hold the same bits, so no cached spectrum can go stale
+    rho = random_density_matrix(rng)
+    lam = rho.lambdas.copy()
+    op = random_op(rng)
+    for copy in (copy_module.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))):
+        rho2, op2 = copy(rho), copy(op)
+        for orig, arr in ((rho.mat, rho2.mat), (lam, rho2.lambdas), (op.unitary, op2.unitary),
+                          (op.matrix, op2.matrix), (op.filter.axis, op2.filter.axis)):
+            assert not arr.flags.writeable
+            assert arr.tobytes() == orig.tobytes()
+        assert (op2.filter.strength, op2.filter.scale) == (op.filter.strength, op.filter.scale)
 
 
 def test_filter_eigenvalues_within_unit_interval(rng):

@@ -149,35 +149,70 @@ def test_quasi_newton_iteration_cap_per_start():
         assert max(calls) <= len(STARTS_6D) * len(_ALPHAS)
 
 
-def test_bell_diagonal_refinements_converge(rng, monkeypatch):
-    results = []
+def _walled_6d(x):
+    """The coupled quadratic plus quartic in the first five coordinates,
+    its minimum 0 at MIN_6D[:5], with a gradient that is NaN wherever the
+    value is below the sixth coordinate. The sixth has no gradient, so each
+    start keeps its own level. Row sums only, so a row's bits do not depend
+    on its batch."""
+    y = x[:, :5] - MIN_6D[:5]
+    total = y.sum(axis=1)
+    value = (y * y).sum(axis=1) + 0.3 * total * total + (y**4).sum(axis=1)
+    grad = np.zeros_like(x)
+    grad[:, :5] = 2.0 * (y + 0.3 * total[:, None]) + 4.0 * y**3
+    grad[value < x[:, 5]] = np.nan
+    return value, grad
+
+
+def test_quasi_newton_lockstep_equals_solo_runs():
+    # each start's result, bit for bit, whichever starts run beside it
+    starts = np.random.default_rng(9).normal(scale=2.0, size=(7, 6))
+    starts[:, 5] = -1.0  # the gradient stays finite
+    starts[4, :5] *= 4.0  # far out: hits the cap
+    starts[5, 5] = 1e-3  # non-finite once the value falls below 1e-3
+    starts[6, 5] = np.inf  # non-finite at the start
+    cap = 40
+    res = _quasi_newton(_walled_6d, starts, cap)
+    converged = res.iterations[res.converged]
+    assert len(set(converged.tolist())) == len(converged) >= 3
+    assert res.iterations[4] == cap and not res.converged[4]
+    assert 1 < res.iterations[5] < cap and not res.converged[5] and res.value[5] < 1e-3
+    assert res.iterations[6] == 0 and not res.converged[6]
+    assert res.x[6].tobytes() == starts[6].tobytes()
+    for i in range(len(starts)):
+        solo = _quasi_newton(_walled_6d, starts[i:i + 1], cap)
+        for field, alone in zip(res, solo):
+            assert field[i].tobytes() == alone[0].tobytes(), (i, field[i], alone[0])
+
+
+@pytest.fixture
+def refinements(monkeypatch):
+    """The (objective, result) of every refinement the searches run."""
+    calls = []
 
     def recording(f, x0, max_iter):
-        results.append(_quasi_newton(f, x0, max_iter))
-        return results[-1]
+        calls.append((f, _quasi_newton(f, x0, max_iter)))
+        return calls[-1][1]
 
     monkeypatch.setattr(nogo, "_quasi_newton", recording)
+    return calls
+
+
+def test_bell_diagonal_refinements_converge(rng, refinements):
     for _ in range(3):
         maximize_concurrence_gain(random_entangled_bell_diagonal(rng), SMALL)
     maximize_concurrence_gain(make_werner(0.7), SMALL)
-    assert len(results) == 4
-    for res in results:
+    assert len(refinements) == 4
+    for _, res in refinements:
         assert res.converged.all()
         assert np.all(res.iterations < SMALL.local_steps)
 
 
-def test_best_gain_is_the_refinements_best_end_point(monkeypatch):
+def test_best_gain_is_the_refinements_best_end_point(refinements):
     # on a gain-admitting state the refinement beats the grid and the draws,
     # and the certificate reports its best end point's gain bit for bit
-    results = []
-
-    def recording(f, x0, max_iter):
-        results.append(_quasi_newton(f, x0, max_iter))
-        return results[-1]
-
-    monkeypatch.setattr(nogo, "_quasi_newton", recording)
     cert = maximize_concurrence_gain(_power_states(7, 1)[0][0], SMALL)
-    assert cert.best_gain == -results[0].value.min()
+    assert cert.best_gain == -refinements[0][1].value.min()
 
 
 def test_search_reaches_a_supremum_at_strength_one():
@@ -322,19 +357,12 @@ def test_search_finds_gains_at_the_tolerance_scale():
             assert abs(opt_gain - cert.best_gain) <= 1e-13, (cfg, opt_gain, cert.best_gain)
 
 
-def test_refinement_gradient_matches_central_differences(monkeypatch):
+def test_refinement_gradient_matches_central_differences(refinements):
     # the refinement's chart point u of each party maps to the filter vector
     # u / sqrt(1 + |u|^2); u = 0 is the identity filter, a regular point
-    objectives = []
-
-    def recording(f, x0, max_iter):
-        objectives.append(f)
-        return _quasi_newton(f, x0, max_iter)
-
-    monkeypatch.setattr(nogo, "_quasi_newton", recording)
     rho = _power_states(7, 1)[0][0]
     maximize_concurrence_gain(rho, SearchConfig(restarts=10, grid_density=2, local_steps=1))
-    f = objectives[0]
+    f = refinements[0][0]
     points = np.vstack([np.zeros(6), np.random.default_rng(3).normal(size=(4, 6))])
     value, grad = f(points)
     assert abs(value[0]) <= 1e-15  # the identity filter gains nothing
@@ -378,6 +406,17 @@ def test_search_config_validation():
             SearchConfig(tolerance=bad)
     assert SearchConfig(tolerance=np.float64(1e-6)).tolerance == 1e-6
     assert SearchConfig(tolerance=1).tolerance == 1
+    # the fields hold the checked values as Python numbers, so numpy's
+    # narrow integers cannot overflow grid_density**6
+    cfg = SearchConfig(restarts=np.int64(5), grid_density=np.int16(7), local_steps=np.uint8(3),
+                       seed=np.int32(2), tolerance=np.float32(0.5))
+    assert [type(getattr(cfg, f)) for f in ("restarts", "grid_density", "local_steps", "seed",
+                                            "tolerance")] == [int, int, int, int, float]
+    assert (cfg.grid_density**6, cfg.tolerance) == (117649, 0.5)
+    narrow = SearchConfig(restarts=10, grid_density=np.int8(3), local_steps=5)
+    wide = SearchConfig(restarts=10, grid_density=3, local_steps=5)
+    assert (certificate_to_dict(maximize_concurrence_gain(make_werner(0.8), narrow))
+            == certificate_to_dict(maximize_concurrence_gain(make_werner(0.8), wide)))
 
 
 # --- scale factor bound ---
