@@ -12,7 +12,8 @@ Every route shares one tau and one clamp policy
 tau, so that every filtered tau is column-orthogonal up to rounding. Both
 gain entries run one chunk body (``_gain_chunk``), so a filter pair has the
 same gain bits from either: ``filter_gain_batch``, which scores the
-search's candidate table in chunks over a thread pool, and
+search's candidate table in chunks over a thread pool (a ``fill`` hook
+lets the search draw each chunk's random rows on its worker), and
 ``filter_gain_gradient``, the refinement's, with exact gradients. A point's singular values, and the
 gradient's singular vectors, come from the norms and directions of tau's
 columns wherever a per-point test shows them accurate
@@ -376,7 +377,7 @@ def _gain_chunk(x, c_in, a, n, b, m, gains, t, grad=None):
     grad[ok] = g
 
 
-def filter_gain_batch(rho, c_in, a, n, b, m):
+def filter_gain_batch(rho, c_in, a, n, b, m, *, fill=None):
     """Concurrence gain and success probability for a batch of filter pairs.
 
     ``a`` and ``b`` hold N strengths, ``n`` and ``m`` N axes as (N, 3)
@@ -395,6 +396,13 @@ def filter_gain_batch(rho, c_in, a, n, b, m):
     thread pool with one worker per usable CPU (at most one per chunk);
     numpy's kernels release the GIL, so the chunks run in parallel. Each
     point's result is the same whichever chunk or thread evaluates it.
+
+    ``fill``, if given, is called as ``fill(lo, a, n, b, m)`` on the worker
+    just before a chunk is scored, with ``lo`` the chunk's first row and
+    views of its rows; it may write the rows in place. Float64 arrays of
+    the checked shapes pass through unconverted, so the views are the
+    caller's own arrays and what ``fill`` writes stays in them. The search
+    uses it to draw its random rows chunk by chunk on the pool.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -410,6 +418,8 @@ def filter_gain_batch(rho, c_in, a, n, b, m):
 
     def run(lo):
         s = slice(lo, lo + CHUNK)
+        if fill is not None:
+            fill(lo, a[s], n[s], b[s], m[s])
         _gain_chunk(x, c_in, a[s], n[s], b[s], m[s], gains[s], t[s])
 
     starts = range(0, len(a), CHUNK)

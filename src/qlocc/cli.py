@@ -10,17 +10,24 @@ that no finite filter pair reaches), 3 certificate violation (a bug
 sentinel, not physics).
 Every output embeds or accompanies a manifest (command, parameter echo,
 seed, version, kernel backend, numpy version, LAPACK name and version,
-timestamp). Rerunning its command on the same numpy version and LAPACK
-build reproduces the output apart from the timestamp (the state root and
-single-state spectra go through LAPACK).
+OpenBLAS core type, numpy's enabled SIMD dispatch targets, timestamp).
+Rerunning its command where the numpy version, the LAPACK build, the core
+type and the dispatch targets all match reproduces the output apart from
+the timestamp. OpenBLAS picks its BLAS kernels per CPU and they set the
+last bits of ``eigh``, ``svd`` and matmul, which the state root, the
+spectra and the gain kernels go through; the dispatch targets set the bits
+of ``np.exp`` in the search's random draws. Elsewhere a rerun agrees within
+rounding.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes  # loaded by numpy already, so it adds nothing to the start
 import datetime
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -70,6 +77,36 @@ def _lapack() -> dict:
         return {"name": "unknown", "version": "unknown"}
 
 
+def _blas_core() -> str:
+    """The CPU core type whose kernels OpenBLAS chose when it loaded.
+
+    OpenBLAS picks its kernels per CPU (``OPENBLAS_CORETYPE`` overrides
+    the choice), and they set the last bits of ``eigh``, ``svd`` and matmul.
+    Read from the OpenBLAS that numpy's wheel bundles in ``numpy.libs``;
+    "unknown" for any other build.
+    """
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    try:
+        name = next(f for f in sorted(os.listdir(libs)) if "openblas" in f)
+        corename = ctypes.CDLL(os.path.join(libs, name)).scipy_openblas_get_corename64_
+    except (OSError, StopIteration, AttributeError):
+        return "unknown"
+    corename.argtypes = []
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
+
+
+def _cpu_dispatch() -> list:
+    """numpy's SIMD dispatch targets enabled on this CPU; they set the bits
+    of ``np.exp`` among others (``NPY_DISABLE_CPU_FEATURES`` turns targets
+    off). ["unknown"] where numpy does not list them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # pragma: no cover - numpy before 2.0
+        return ["unknown"]
+    return [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
+
+
 def _manifest(command: str, params: dict, seed=None) -> dict:
     return {
         "command": command,
@@ -79,6 +116,8 @@ def _manifest(command: str, params: dict, seed=None) -> dict:
         "backend": qlocc.BACKEND,
         "numpy": np.__version__,
         "lapack": _lapack(),
+        "blas_core": _blas_core(),
+        "cpu_dispatch": _cpu_dispatch(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
 

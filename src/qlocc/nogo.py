@@ -3,8 +3,9 @@ increase the entanglement of Werner or Bell-diagonal states.
 
 The search maximizes the concurrence gain over both parties' filter
 strengths and axes. One candidate table, a coarse grid followed by uniform
-random draws, is scored in one call of the batched kernel; lockstep
-quasi-Newton refinements then start from its best rows. Each refinement
+random draws, is scored in one call of the batched kernel, whose workers
+draw the random rows chunk by chunk with the bits of one whole draw;
+lockstep quasi-Newton refinements then start from its best rows. Each refinement
 step is one call of the gradient kernel on the trial points of every
 active start; it returns their gains with exact gradients in the Cartesian
 filter vectors v = a n. Both kernels run one chunk body, so a filter pair
@@ -173,7 +174,14 @@ def _grid_params(g: int, a, n, b, m):
 def _random_params(rng: np.random.Generator, a, n, b, m):
     """Writes uniform draws into the table (a, n, b, m), one row per draw:
     logistic strengths of a uniform stretched coordinate in
-    [-_U_RANGE, _U_RANGE], area-uniform axes."""
+    [-_U_RANGE, _U_RANGE], area-uniform axes.
+
+    A row takes six uniforms, ``rng.random((len(a), 6))``, and each of
+    them one 64-bit output of the generator. So a run of rows written from
+    a PCG64 advanced by six outputs per earlier row has the bits of the
+    same rows of one whole draw; the search draws its rows that way, one
+    chunk of the batched kernel at a time.
+    """
     u = rng.random((len(a), 6))
     a[:] = 1.0 / (1.0 + np.exp(-(2.0 * u[:, 0] - 1.0) * _U_RANGE))
     b[:] = 1.0 / (1.0 + np.exp(-(2.0 * u[:, 3] - 1.0) * _U_RANGE))
@@ -295,6 +303,9 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     coarse grid (``grid_density`` points per parameter, its
     ``grid_density**6`` rows first) and then ``restarts`` uniform random
     draws, and one :func:`~qlocc._kernels.filter_gain_batch` call scores it.
+    The grid is built first; the random rows are drawn inside that call,
+    each chunk's rows by its worker (the ``fill`` hook), with the bits of
+    one ``default_rng(seed).random((restarts, 6))`` draw.
     The quasi-Newton refinements run at most ``local_steps`` iterations
     each, in each party's chart point u with filter vector
     v = u / sqrt(1 + |u|^2): regular at the identity filter u = 0, and
@@ -315,12 +326,21 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     c_in = concurrence(rho)
     if c_in <= 0.0:
         raise NotEntangled("input state has zero concurrence; nothing to gain or lose")
-    rng = np.random.default_rng(cfg.seed)
     grid_size = cfg.grid_density**6
     table = _empty_table(grid_size + cfg.restarts)
     _grid_params(cfg.grid_density, *(col[:grid_size] for col in table))
-    _random_params(rng, *(col[grid_size:] for col in table))
-    gains, t = _kernels.filter_gain_batch(rho.mat, c_in, *table)
+
+    def draw(lo, *chunk):
+        # the chunk's draw rows, from a generator in default_rng(seed)'s
+        # start state moved past the rows before them: a double takes one
+        # 64-bit output, a row six
+        k = max(grid_size - lo, 0)
+        if k < len(chunk[0]):
+            bits = np.random.PCG64(cfg.seed)
+            bits.advance(6 * (lo + k - grid_size))
+            _random_params(np.random.Generator(bits), *(col[k:] for col in chunk))
+
+    gains, t = _kernels.filter_gain_batch(rho.mat, c_in, *table, fill=draw)
 
     # refinement seeds: the table's best rows, gathered as chart points
     # u = v / sqrt(1 - |v|^2)

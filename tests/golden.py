@@ -3,10 +3,11 @@ in ``golden.json``.
 
 The file holds the bodies of four searches and of five single-state
 computations (four ``qlocc measure`` reports and one recurrence step),
-together with the numpy version and the LAPACK build that produced them.
-``test_golden`` recomputes each body. Where numpy and LAPACK match the
-recorded ones it compares them bit for bit; elsewhere it compares the
-numbers within the bounds below. A change that moves their bits regenerates
+together with the environment that produced them (:func:`environment`):
+the numpy version, the LAPACK build, OpenBLAS's core type and numpy's
+SIMD dispatch targets. ``test_golden`` recomputes each body. Where the
+whole environment matches the recorded one it compares them bit for bit;
+elsewhere it compares the numbers within the bounds below. A change that moves their bits regenerates
 the file, so the diff shows which fields moved and by how much:
 
     PYTHONPATH=src python tests/golden.py
@@ -34,7 +35,7 @@ PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden.json")
 
 class Golden(NamedTuple):
     """One golden search: how to run it, and how far its best gain may move
-    under another numpy or LAPACK build."""
+    in another environment."""
 
     input: str
     certify: Callable[[], dict]
@@ -142,8 +143,11 @@ REPORTS = {
 
 
 def environment() -> dict:
-    """The numpy version and LAPACK build that certificate bits depend on."""
-    return {"numpy": np.__version__, "lapack": cli._lapack()}
+    """What sets the bits of a certificate: the numpy version, the LAPACK
+    build, the kernels OpenBLAS chose for this CPU and numpy's enabled SIMD
+    dispatch targets."""
+    return {"numpy": np.__version__, "lapack": cli._lapack(), "blas_core": cli._blas_core(),
+            "cpu_dispatch": cli._cpu_dispatch()}
 
 
 def entry(name: str) -> dict:

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -169,6 +172,25 @@ def test_nogo_certificate(tmp_path, capsys):
     assert doc["manifest"]["numpy"] == np.__version__
     lapack = np.__config__.CONFIG["Build Dependencies"]["lapack"]
     assert doc["manifest"]["lapack"] == {"name": lapack["name"], "version": lapack["version"]}
+    # and on the kernels OpenBLAS chose and numpy's enabled dispatch targets
+    assert doc["manifest"]["blas_core"] == cli._blas_core()
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+    assert set(doc["manifest"]["cpu_dispatch"]) <= set(__cpu_dispatch__)
+
+
+@pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
+def test_manifest_records_the_blas_core_in_use(coretype):
+    # OpenBLAS made to pick another CPU's kernels: the manifest names them,
+    # unless this OpenBLAS is not the wheel's, and reading them adds no
+    # import to the CLI's start
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "OPENBLAS_CORETYPE": coretype,
+           "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    code = ("import sys, numpy; loaded = set(sys.modules); from qlocc import cli; "
+            "print(cli._manifest('measure', {})['blas_core'], 'ctypes' in loaded)")
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120, check=True).stdout
+    assert out.split() == [coretype if cli._blas_core() != "unknown" else "unknown", "True"]
 
 
 def test_nogo_rerun_is_byte_identical(tmp_path, capsys):

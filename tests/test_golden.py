@@ -2,6 +2,9 @@
 here until ``golden.json`` is regenerated (``PYTHONPATH=src python tests/golden.py``)."""
 
 import json
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -12,7 +15,7 @@ import golden
 with open(golden.PATH, encoding="utf-8") as _fh:
     RECORDED = json.load(_fh)
 
-# under another numpy or LAPACK build: the input state and its concurrence,
+# in another environment: the input state and its concurrence,
 # and every number of a single-state report, are a few roundings of the same
 # formulas
 INPUT_BOUND = 1e-12
@@ -31,12 +34,20 @@ def _numbers_agree(name, body, recorded):
         assert body["holds"] == recorded["holds"]
 
 
+def _recorded(env) -> dict:
+    """The recorded values of the environment's keys; None where golden.json
+    holds none."""
+    return {key: RECORDED.get(key) for key in env}
+
+
 def _bytes_compared(computed, recorded) -> bool:
-    """Compares two entries byte for byte and returns True under the
-    recorded numpy and LAPACK build; elsewhere warns, compares the inputs
-    and returns False, leaving the numbers to the caller."""
+    """Compares two entries byte for byte and returns True where the whole
+    recorded environment matches (``golden.environment()``: numpy, LAPACK,
+    OpenBLAS's core type, numpy's dispatch targets); elsewhere warns,
+    compares the inputs and returns False, leaving the numbers to the
+    caller."""
     env = golden.environment()
-    recorded_env = {"numpy": RECORDED["numpy"], "lapack": RECORDED["lapack"]}
+    recorded_env = _recorded(env)
     if env == recorded_env:
         assert golden.render(computed) == golden.render(recorded)
         return True
@@ -77,3 +88,27 @@ def test_bounds_catch_a_moved_gain():
     _numbers_agree("full-rank-gain", {**recorded, "best_gain": recorded["best_gain"] - 1e-10}, recorded)
     with pytest.raises(AssertionError):
         _numbers_agree("full-rank-gain", {**recorded, "best_gain": recorded["best_gain"] - 1e-8}, recorded)
+
+
+def test_golden_bounds_path_under_another_blas_core():
+    # OpenBLAS made to pick an AVX2-only CPU's kernels moves the last bits
+    # of eigh, svd and matmul; the record then differs and every golden
+    # entry must pass within its bounds. Where OpenBLAS has one set of
+    # kernels the variable does nothing, and the byte check runs.
+    forced = {**os.environ, "OPENBLAS_CORETYPE": "Haswell"}
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "-k",
+         "test_golden_certificate or test_golden_report", os.path.abspath(__file__)],
+        env=forced, cwd=root, capture_output=True, text=True, timeout=600)
+    assert run.returncode == 0, run.stdout + run.stderr
+    core = subprocess.run(
+        [sys.executable, "-c", "from qlocc import cli; print(cli._blas_core())"],
+        env={**forced, "PYTHONPATH": os.path.join(root, "src")}, capture_output=True, text=True,
+        timeout=60, check=True).stdout.strip()
+    child = {**golden.environment(), "blas_core": core}
+    entries = len(golden.GOLDEN) + len(golden.REPORTS)
+    summary = run.stdout.strip().splitlines()[-1]
+    assert f"{entries} passed" in summary
+    # each entry warns that it took the bounds path exactly when the record differs
+    assert (f"{entries} warnings" in summary) == (child != _recorded(child)), run.stdout

@@ -77,7 +77,8 @@ def test_search_scores_one_candidate_table(monkeypatch):
     batches, roots = [], []
     batch, gain_root = _kernels.filter_gain_batch, _kernels.gain_root
     monkeypatch.setattr(_kernels, "filter_gain_batch",
-                        lambda rho, c_in, *table: batches.append(table) or batch(rho, c_in, *table))
+                        lambda rho, c_in, *table, **kwargs:
+                        batches.append(table) or batch(rho, c_in, *table, **kwargs))
     monkeypatch.setattr(_kernels, "gain_root", lambda rho: roots.append(rho) or gain_root(rho))
     maximize_concurrence_gain(make_werner(0.8), SMALL)
     assert len(batches) == 1 and len(roots) == 2
@@ -90,6 +91,34 @@ def test_search_scores_one_candidate_table(monkeypatch):
     nogo._random_params(np.random.default_rng(SMALL.seed), *draws)
     for column, drawn in zip(batches[0], draws):
         assert np.array_equal(column[grid_size:], drawn)
+
+
+@pytest.mark.parametrize("cpus", [1, 4])
+@pytest.mark.parametrize("seed", [0, 11, 2026])
+def test_draws_filled_by_chunk_equal_one_draw(monkeypatch, seed, cpus):
+    # the batch's workers draw the table's random rows chunk by chunk; 729
+    # grid rows end mid-chunk and 9001 draws end mid-chunk, and the rows
+    # are those of one whole draw from one generator
+    cfg = SearchConfig(restarts=9001, grid_density=3, local_steps=1, seed=seed)
+    grid_size = cfg.grid_density**6
+    assert grid_size % _kernels.CHUNK and (grid_size + cfg.restarts) % _kernels.CHUNK
+    tables = []
+    batch = _kernels.filter_gain_batch
+
+    def scored(rho, c_in, *table, **kwargs):
+        result = batch(rho, c_in, *table, **kwargs)
+        tables.append([col.copy() for col in table])
+        return result
+
+    monkeypatch.setattr(_kernels, "filter_gain_batch", scored)
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
+    maximize_concurrence_gain(make_werner(0.8), cfg)
+    (table,) = tables
+    grid, draws = nogo._empty_table(grid_size), nogo._empty_table(cfg.restarts)
+    nogo._grid_params(cfg.grid_density, *grid)
+    nogo._random_params(np.random.default_rng(seed), *draws)
+    for column, *parts in zip(table, grid, draws):
+        assert np.array_equal(column, np.concatenate(parts))
 
 
 @pytest.mark.parametrize("size", [1, 5, 6, 7, 40, 3000])
