@@ -1,5 +1,9 @@
 """The numpy kernels: the lambda spectrum, concurrence and the batched gain.
 
+The package's lowest layer: it defines the Pauli matrices (``PAULI``, which
+``states`` re-exports) and imports nothing of the package but
+``qlocc.errors``.
+
 The one route to the lambda spectrum for the whole package: with
 rho = X X+, the lambdas are the singular values of Wootters'
 tau = X^T (sy x sy) X (PRL 80, 2245 (1998)), since tau+ tau = X+ rho~ X
@@ -28,10 +32,11 @@ import os
 import numpy as np
 
 from qlocc.errors import ConvergenceFailure, SpectrumError
-from qlocc.states import PAULI
 
 # the name manifests record for these kernels
 BACKEND = "python"
+# the Pauli matrices x, y, z
+PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
 
 # Clamp policy. A state eigenvalue below -NEG_TOL signals a bug rather than
 # conditioning. State eigenvalues below the eigensolver's resolution

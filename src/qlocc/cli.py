@@ -9,8 +9,9 @@ validation failure (among them ``NotAttained``: a filtering normal form
 that no finite filter pair reaches), 3 certificate violation (a bug
 sentinel, not physics).
 Every output embeds or accompanies a manifest (command, parameter echo,
-seed, version, kernel backend, numpy version, LAPACK name and version,
-OpenBLAS core type, numpy's enabled SIMD dispatch targets, timestamp).
+seed, version, kernel backend, the record of :func:`environment`: numpy
+version, LAPACK name and version, OpenBLAS core type, numpy's enabled SIMD
+dispatch targets; and a timestamp).
 Rerunning its command where the numpy version, the LAPACK build, the core
 type and the dispatch targets all match reproduces the output apart from
 the timestamp. OpenBLAS picks its BLAS kernels per CPU and they set the
@@ -24,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import ctypes  # loaded by numpy already, so it adds nothing to the start
+import dataclasses
 import datetime
 import json
 import math
@@ -107,6 +109,15 @@ def _cpu_dispatch() -> list:
     return [target for target in __cpu_dispatch__ if __cpu_features__.get(target)]
 
 
+def environment() -> dict:
+    """What sets the bits of an output: the numpy version, the LAPACK
+    build, the kernels OpenBLAS chose for this CPU and numpy's enabled SIMD
+    dispatch targets. Every manifest records it, and the golden byte check
+    compares bytes only where it matches the recorded one."""
+    return {"numpy": np.__version__, "lapack": _lapack(), "blas_core": _blas_core(),
+            "cpu_dispatch": _cpu_dispatch()}
+
+
 def _manifest(command: str, params: dict, seed=None) -> dict:
     return {
         "command": command,
@@ -114,10 +125,7 @@ def _manifest(command: str, params: dict, seed=None) -> dict:
         "seed": seed,
         "version": qlocc.__version__,
         "backend": qlocc.BACKEND,
-        "numpy": np.__version__,
-        "lapack": _lapack(),
-        "blas_core": _blas_core(),
-        "cpu_dispatch": _cpu_dispatch(),
+        **environment(),
         "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
     }
 
@@ -189,22 +197,16 @@ def cmd_measure(args) -> int:
 
 def cmd_nogo(args) -> int:
     rho, echo = _state_from_args(args)
-    cfg = nogo.SearchConfig(
-        restarts=args.restarts,
-        grid_density=args.grid_density,
-        local_steps=args.local_steps,
-        seed=args.seed,
-        tolerance=args.tolerance,
-    )
+    # the flags' dests are the SearchConfig field names
+    cfg = nogo.SearchConfig(**{f.name: getattr(args, f.name)
+                               for f in dataclasses.fields(nogo.SearchConfig)})
     cert = nogo.maximize_concurrence_gain(rho, cfg)
-    doc = {
-        "manifest": _manifest("nogo", {**echo, "restarts": args.restarts,
-                                       "grid_density": args.grid_density,
-                                       "local_steps": args.local_steps,
-                                       "tolerance": args.tolerance}, seed=args.seed),
-        "certificate": nogo.certificate_to_dict(cert),
-    }
-    _emit_json(doc, args.out)
+    body = nogo.certificate_to_dict(cert)
+    # the manifest echoes the certificate's config, with the seed under its own key
+    params = dict(body["config"])
+    seed = params.pop("seed")
+    _emit_json({"manifest": _manifest("nogo", {**echo, **params}, seed=seed),
+                "certificate": body}, args.out)
     return EXIT_OK if cert.holds else EXIT_VIOLATION
 
 
@@ -214,6 +216,9 @@ def cmd_sweep(args) -> int:
             fs = [float(x) for x in args.f_list.split(",")]
         except ValueError as exc:
             raise _UsageError(f"--f-list expects comma-separated numbers: {exc}") from exc
+        if len(fs) > MAX_SWEEP_FIDELITIES:
+            raise DomainError(f"--f-list holds {len(fs)} fidelities, more than the "
+                              f"{MAX_SWEEP_FIDELITIES} one sweep may hold")
     else:
         for flag, value in (("f-min", args.f_min), ("f-max", args.f_max), ("f-step", args.f_step)):
             if not math.isfinite(value):

@@ -5,7 +5,8 @@ The search maximizes the concurrence gain over both parties' filter
 strengths and axes. One candidate table, a coarse grid followed by uniform
 random draws, is scored in one call of the batched kernel, whose workers
 draw the random rows chunk by chunk with the bits of one whole draw;
-lockstep quasi-Newton refinements then start from its best rows. Each refinement
+lockstep quasi-Newton refinements then start from its best rows, one start
+per distinct filter pair among them. Each refinement
 step is one call of the gradient kernel on the trial points of every
 active start; it returns their gains with exact gradients in the Cartesian
 filter vectors v = a n. Both kernels run one chunk body, so a filter pair
@@ -31,7 +32,7 @@ randomizing outcomes never helps.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -306,10 +307,13 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     The grid is built first; the random rows are drawn inside that call,
     each chunk's rows by its worker (the ``fill`` hook), with the bits of
     one ``default_rng(seed).random((restarts, 6))`` draw.
-    The quasi-Newton refinements run at most ``local_steps`` iterations
-    each, in each party's chart point u with filter vector
-    v = u / sqrt(1 + |u|^2): regular at the identity filter u = 0, and
-    reaching strengths near 1 as |u| grows. The root of rho that the
+    The refinements start from the table's ``_REFINE_TOP`` (6) best rows,
+    one per distinct chart point, the first in gain order: the grid's
+    strength-0 rows are one identity filter for every axis, so a Werner
+    state's six best rows make one start. They run at most
+    ``local_steps`` iterations each, in each party's chart point u with
+    filter vector v = u / sqrt(1 + |u|^2): regular at the identity filter
+    u = 0, and reaching strengths near 1 as |u| grows. The root of rho that the
     refinement's kernel calls share (:func:`~qlocc._kernels.gain_root`) is
     computed once per search, and the input concurrence comes from the
     state's one spectrum (``DensityMatrix.lambdas``). The objective
@@ -347,6 +351,9 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     top = _top_indices(gains, _REFINE_TOP)
     u0 = np.concatenate([s[top, None] * v[top] / np.sqrt(1.0 - s[top] ** 2)[:, None]
                          for s, v in (table[:2], table[2:])], axis=1)
+    # one start per distinct chart point, its first row in gain order
+    # (+ 0.0 makes -0.0 equal to 0.0)
+    u0 = u0[np.sort(np.unique(u0 + 0.0, axis=0, return_index=True)[1])]
     # the refinement's root, prepared once: its calls pay no eigh or svd of rho
     root = _kernels.gain_root(rho.mat)
 
@@ -392,13 +399,7 @@ def certificate_to_dict(cert: Certificate) -> dict:
 
     return {
         "input_state": density_matrix_to_dict(cert.input_state),
-        "config": {
-            "restarts": cert.config.restarts,
-            "grid_density": cert.config.grid_density,
-            "local_steps": cert.config.local_steps,
-            "seed": cert.config.seed,
-            "tolerance": cert.config.tolerance,
-        },
+        "config": asdict(cert.config),
         "concurrence_in": float(cert.concurrence_in),
         "best_gain": float(cert.best_gain),
         "best_params": {

@@ -13,6 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
+from qlocc import _kernels
+from qlocc._kernels import PAULI
 from qlocc.errors import DomainError, NotAState
 
 _SQRT2 = float(np.sqrt(2.0))
@@ -30,8 +32,7 @@ SINGLET_PROJ = np.outer(SINGLET_AMPS, SINGLET_AMPS.conj())
 
 TOL_STATE = 1e-10
 
-# the Pauli matrices and the 2x2 identity, defined once for the package
-PAULI = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+# the Pauli matrices (defined in ``_kernels``) and the 2x2 identity
 SX, SY, SZ = PAULI
 I2 = np.eye(2, dtype=np.complex128)
 
@@ -104,8 +105,6 @@ class DensityMatrix:
         """The descending lambda spectrum, read-only:
         ``_kernels.lambdas(_kernels.state_root(mat))``, computed on first
         use. Raises what :func:`~qlocc._kernels.state_root` raises."""
-        from qlocc import _kernels  # _kernels imports this module
-
         lam = _kernels.lambdas(_kernels.state_root(self.mat))
         lam.flags.writeable = False
         return lam

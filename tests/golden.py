@@ -3,9 +3,10 @@ in ``golden.json``.
 
 The file holds the bodies of four searches and of five single-state
 computations (four ``qlocc measure`` reports and one recurrence step),
-together with the environment that produced them (:func:`environment`):
-the numpy version, the LAPACK build, OpenBLAS's core type and numpy's
-SIMD dispatch targets. ``test_golden`` recomputes each body. Where the
+together with the environment that produced them
+(:func:`qlocc.cli.environment`, the record every manifest holds): the
+numpy version, the LAPACK build, OpenBLAS's core type and numpy's SIMD
+dispatch targets. ``test_golden`` recomputes each body. Where the
 whole environment matches the recorded one it compares them bit for bit;
 elsewhere it compares the numbers within the bounds below. A change that moves their bits regenerates
 the file, so the diff shows which fields moved and by how much:
@@ -142,14 +143,6 @@ REPORTS = {
 }
 
 
-def environment() -> dict:
-    """What sets the bits of a certificate: the numpy version, the LAPACK
-    build, the kernels OpenBLAS chose for this CPU and numpy's enabled SIMD
-    dispatch targets."""
-    return {"numpy": np.__version__, "lapack": cli._lapack(), "blas_core": cli._blas_core(),
-            "cpu_dispatch": cli._cpu_dispatch()}
-
-
 def entry(name: str) -> dict:
     g = GOLDEN[name]
     return {"input": g.input, "body": g.certify()}
@@ -165,7 +158,7 @@ def render(doc) -> str:
 
 
 def main():
-    doc = {**environment(), "certificates": {name: entry(name) for name in GOLDEN},
+    doc = {**cli.environment(), "certificates": {name: entry(name) for name in GOLDEN},
            "reports": {name: report_entry(name) for name in REPORTS}}
     with open(PATH, "w", encoding="utf-8") as fh:
         fh.write(render(doc))

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -178,6 +179,42 @@ def test_nogo_certificate(tmp_path, capsys):
     assert set(doc["manifest"]["cpu_dispatch"]) <= set(__cpu_dispatch__)
 
 
+def test_nogo_flags_are_the_search_config_fields():
+    # each SearchConfig field has the flag whose dest is its name, and the
+    # field's default
+    args = cli.build_parser().parse_args(["nogo", "--werner", "0.8"])
+    for field in dataclasses.fields(nogo.SearchConfig):
+        assert getattr(args, field.name) == field.default, field.name
+
+
+def test_nogo_config_is_echoed_once(capsys):
+    # all five settings off their defaults: the certificate's config is the
+    # SearchConfig, and the manifest echoes it with the seed under its own key
+    settings = {"restarts": 30, "grid_density": 2, "local_steps": 5, "seed": 3,
+                "tolerance": 2.5e-8}
+    assert all(getattr(nogo.SearchConfig(), k) != v for k, v in settings.items())
+    argv = ["nogo", "--bell", "0.7,0.1,0.15,0.05"]
+    for name, value in settings.items():
+        argv += [f"--{name.replace('_', '-')}", str(value)]
+    code, out, _ = _run(capsys, argv)
+    assert code == 0
+    doc = json.loads(out)
+    manifest, config = doc["manifest"], doc["certificate"]["config"]
+    params = dict(manifest["parameters"])
+    assert params.pop("bell") == [0.7, 0.1, 0.15, 0.05]
+    assert {**params, "seed": manifest["seed"]} == config
+    assert config == dataclasses.asdict(nogo.SearchConfig(**settings)) == settings
+
+
+def test_manifest_records_the_environment(capsys):
+    code, out, _ = _run(capsys, ["measure", "--werner", "0.8"])
+    assert code == 0
+    manifest = json.loads(out)["manifest"]
+    env = cli.environment()
+    assert sorted(env) == ["blas_core", "cpu_dispatch", "lapack", "numpy"]
+    assert {key: manifest[key] for key in env} == env
+
+
 @pytest.mark.parametrize("coretype", ["Haswell", "Sandybridge"])
 def test_manifest_records_the_blas_core_in_use(coretype):
     # OpenBLAS made to pick another CPU's kernels: the manifest names them,
@@ -309,6 +346,27 @@ def test_sweep_beyond_its_caps_is_usage_error(capsys):
     code, out, _ = _run(capsys, ["sweep", "--f-step", step, "--grid-density", "2"])
     assert code == 0
     assert len(out.strip().split("\n")) == 1 + cli.MAX_SWEEP_FIDELITIES
+
+
+def test_sweep_f_list_beyond_the_cap_is_usage_error(capsys, monkeypatch):
+    # the list is checked against the cap before any grid runs
+    grids, grid = [], nogo.scale_factor_grid
+
+    def counting(*args):
+        grids.append(args)
+        return grid(*args)
+
+    monkeypatch.setattr(nogo, "scale_factor_grid", counting)
+    code, out, err = _run(capsys, ["sweep", "--f-list", ",".join(["0.8"] * 10_001),
+                                   "--grid-density", "2"])
+    assert (code, out, grids) == (1, "", [])
+    assert err.startswith("error: ") and "10001" in err
+    monkeypatch.setattr(cli, "MAX_SWEEP_FIDELITIES", 3)
+    code, out, _ = _run(capsys, ["sweep", "--f-list", "0.6,0.7,0.8", "--grid-density", "2"])
+    assert code == 0 and len(out.strip().split("\n")) == 4 and len(grids) == 3
+    code, out, err = _run(capsys, ["sweep", "--f-list", "0.6,0.7,0.8,0.9", "--grid-density", "2"])
+    assert (code, out, len(grids)) == (1, "", 3)
+    assert err.startswith("error: ")
 
 
 def test_sweep_out_writes_manifest_sidecar(tmp_path, capsys):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import golden
+from qlocc import cli
 
 with open(golden.PATH, encoding="utf-8") as _fh:
     RECORDED = json.load(_fh)
@@ -42,11 +43,11 @@ def _recorded(env) -> dict:
 
 def _bytes_compared(computed, recorded) -> bool:
     """Compares two entries byte for byte and returns True where the whole
-    recorded environment matches (``golden.environment()``: numpy, LAPACK,
+    recorded environment matches (``cli.environment()``: numpy, LAPACK,
     OpenBLAS's core type, numpy's dispatch targets); elsewhere warns,
     compares the inputs and returns False, leaving the numbers to the
     caller."""
-    env = golden.environment()
+    env = cli.environment()
     recorded_env = _recorded(env)
     if env == recorded_env:
         assert golden.render(computed) == golden.render(recorded)
@@ -106,7 +107,7 @@ def test_golden_bounds_path_under_another_blas_core():
         [sys.executable, "-c", "from qlocc import cli; print(cli._blas_core())"],
         env={**forced, "PYTHONPATH": os.path.join(root, "src")}, capture_output=True, text=True,
         timeout=60, check=True).stdout.strip()
-    child = {**golden.environment(), "blas_core": core}
+    child = {**cli.environment(), "blas_core": core}
     entries = len(golden.GOLDEN) + len(golden.REPORTS)
     summary = run.stdout.strip().splitlines()[-1]
     assert f"{entries} passed" in summary

@@ -2,6 +2,9 @@
 fallback against each other and against references, the batched gain, its
 threads and its error paths."""
 
+import ast
+import glob
+import os
 import sys
 
 import numpy as np
@@ -469,6 +472,39 @@ def test_active_backend_exports():
     assert _kernels.BACKEND == "python"
     assert callable(_kernels.eigvals4x4)
     assert callable(_kernels.filter_gain_batch)
+
+
+def _qlocc_imports(node) -> list:
+    """The qlocc modules an import statement names ([] for any other node)."""
+    if isinstance(node, ast.Import):
+        return [a.name for a in node.names if a.name.split(".")[0] == "qlocc"]
+    if isinstance(node, ast.ImportFrom):
+        if node.level or node.module == "qlocc":
+            return [f"qlocc.{a.name}" for a in node.names]
+        if node.module.split(".")[0] == "qlocc":
+            return [node.module]
+    return []
+
+
+def test_kernels_are_the_lowest_layer():
+    # _kernels imports only qlocc.errors from the package, and no package
+    # module imports a qlocc module inside a function: there is no import
+    # cycle to break that way. The Pauli matrices are defined once, here.
+    package = os.path.dirname(_kernels.__file__)
+    trees = {}
+    for path in sorted(glob.glob(os.path.join(package, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            trees[os.path.basename(path)] = ast.parse(fh.read())
+    assert {m for node in ast.walk(trees["_kernels.py"]) for m in _qlocc_imports(node)} == {
+        "qlocc.errors"}
+    for name, tree in trees.items():
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = [m for node in ast.walk(fn) for m in _qlocc_imports(node)]
+                assert not inner, (name, fn.name, inner)
+    assert states.PAULI is _kernels.PAULI
+    assert [p.tobytes() for p in (states.SX, states.SY, states.SZ)] == [
+        p.tobytes() for p in _kernels.PAULI]
 
 
 def test_concurrence_noise_snap():

@@ -65,10 +65,10 @@ def test_certificate_counts_evaluations():
     # carry their gradients
     assert cert.evaluations <= (SMALL.grid_density**6 + SMALL.restarts
                                 + _REFINE_TOP * (1 + SMALL.local_steps * len(_ALPHAS)))
-    # a Werner state's starts are identity filters, where the gain is
-    # stationary: each converges after one iteration of trial steps
-    assert cert.evaluations == (SMALL.grid_density**6 + SMALL.restarts
-                                + _REFINE_TOP * (1 + len(_ALPHAS)))
+    # a Werner state's best rows are all the identity filter, so it has one
+    # start, where the gain is stationary: it converges after one iteration
+    # of trial steps
+    assert cert.evaluations == SMALL.grid_density**6 + SMALL.restarts + 1 + len(_ALPHAS)
 
 
 def test_search_scores_one_candidate_table(monkeypatch):
@@ -216,12 +216,12 @@ def test_quasi_newton_lockstep_equals_solo_runs():
 
 @pytest.fixture
 def refinements(monkeypatch):
-    """The (objective, result) of every refinement the searches run."""
+    """The (objective, starts, result) of every refinement the searches run."""
     calls = []
 
     def recording(f, x0, max_iter):
-        calls.append((f, _quasi_newton(f, x0, max_iter)))
-        return calls[-1][1]
+        calls.append((f, x0, _quasi_newton(f, x0, max_iter)))
+        return calls[-1][2]
 
     monkeypatch.setattr(nogo, "_quasi_newton", recording)
     return calls
@@ -232,7 +232,7 @@ def test_bell_diagonal_refinements_converge(rng, refinements):
         maximize_concurrence_gain(random_entangled_bell_diagonal(rng), SMALL)
     maximize_concurrence_gain(make_werner(0.7), SMALL)
     assert len(refinements) == 4
-    for _, res in refinements:
+    for _, _, res in refinements:
         assert res.converged.all()
         assert np.all(res.iterations < SMALL.local_steps)
 
@@ -241,7 +241,21 @@ def test_best_gain_is_the_refinements_best_end_point(refinements):
     # on a gain-admitting state the refinement beats the grid and the draws,
     # and the certificate reports its best end point's gain bit for bit
     cert = maximize_concurrence_gain(_power_states(7, 1)[0][0], SMALL)
-    assert cert.best_gain == -refinements[0][1].value.min()
+    assert cert.best_gain == -refinements[0][2].value.min()
+
+
+def test_refinement_starts_are_distinct(refinements):
+    # the grid's strength-0 rows are one identity filter for every axis, and
+    # tie at the top of the table on these states; each filter pair starts
+    # one refinement
+    import golden  # golden imports this module
+
+    for rho in (make_werner(0.8), make_bell_diagonal([0.7, 0.1, 0.15, 0.05]),
+                golden.tolerance_scale_state()):
+        maximize_concurrence_gain(rho, SMALL)
+    assert len(refinements) == 3
+    for _, x0, _ in refinements:
+        assert len(np.unique(x0 + 0.0, axis=0)) == len(x0), x0
 
 
 def test_search_reaches_a_supremum_at_strength_one():
