@@ -1,10 +1,11 @@
 """Golden outputs: certificate and single-state bodies whose bits are kept
 in ``golden.json``.
 
-The file holds the bodies of four searches and of five single-state
-computations (four ``qlocc measure`` reports and one recurrence step),
-together with the environment that produced them
-(:func:`qlocc.cli.environment`, the record every manifest holds): the
+The file holds the bodies of four searches and of ten single-state
+computations (four ``qlocc measure`` reports, four recurrence steps and two
+unitary * filter decompositions), together with the environment that
+produced them (:func:`qlocc.cli.environment`, the record every manifest
+holds): the
 numpy version, the LAPACK build, OpenBLAS's core type and numpy's SIMD
 dispatch targets. ``test_golden`` recomputes each body. Where the
 whole environment matches the recorded one it compares them bit for bit;
@@ -27,7 +28,7 @@ import numpy as np
 
 from qlocc import cli, locc, nogo, protocols, states
 
-from conftest import random_density_matrix, random_op
+from conftest import random_density_matrix, random_op, su2_from_angle_axis
 from test_acceptance import BELL_CONFIG
 from test_nogo import SMALL, WERNER_EPSILONS, _perturbed, _power_states
 
@@ -126,6 +127,30 @@ def _collective_step(F) -> dict:
     return {"fidelity_out": f_prime, "p_succ": p_succ}
 
 
+def fixed_operator(theta, u_axis, a, f_axis, nu) -> np.ndarray:
+    """The branch operator U F with U = cos(theta) 1 + i sin(theta) n.sigma
+    along ``u_axis`` and F = nu (1 + a m.sigma) along ``f_axis``."""
+    f_axis = np.asarray(f_axis, dtype=float)
+    filt = locc.LocalFilter(strength=a, axis=f_axis / np.linalg.norm(f_axis), scale=nu)
+    return su2_from_angle_axis(theta, u_axis) @ locc.filter_matrix(filt)
+
+
+def _decomposition(A) -> dict:
+    """The operator and its ``decompose_local_op`` split, every bit kept."""
+    op = locc.decompose_local_op(A)
+
+    def pairs(m):
+        return [[[z.real, z.imag] for z in row] for row in m.tolist()]
+
+    return {
+        "operator": pairs(A),
+        "unitary": pairs(op.unitary),
+        "strength": op.filter.strength,
+        "axis": op.filter.axis.tolist(),
+        "scale": op.filter.scale,
+    }
+
+
 REPORTS = {
     "werner-0.8-measure": Report(
         "qlocc measure --werner 0.8", lambda: _cli_report(["measure", "--werner", "0.8"])),
@@ -140,6 +165,15 @@ REPORTS = {
         lambda: _state_report(random_state_and_image()[1])),
     "collective-step-0.7": Report(
         "protocols.collective_step(0.7)", lambda: _collective_step(0.7)),
+    **{f"collective-step-{F}": Report(
+        f"protocols.collective_step({F})", lambda F=F: _collective_step(F))
+       for F in (0.55, 0.75, 0.95)},
+    "decompose-generic": Report(
+        "locc.decompose_local_op(golden.fixed_operator(0.7, [1, -2, 2], 0.6, [2, 1, -2], 0.55))",
+        lambda: _decomposition(fixed_operator(0.7, [1, -2, 2], 0.6, [2, 1, -2], 0.55))),
+    "decompose-strong": Report(
+        "locc.decompose_local_op(golden.fixed_operator(2.3, [0, 1, 1], 0.95, [-1, 3, 0.5], 0.5))",
+        lambda: _decomposition(fixed_operator(2.3, [0, 1, 1], 0.95, [-1, 3, 0.5], 0.5))),
 }
 
 
