@@ -196,6 +196,30 @@ def test_non_finite_input_is_a_domain_error(case):
         NON_FINITE[case]()
 
 
+def test_filter_axis_must_be_unit_within_1e_12():
+    unit = np.array([2.0, -1.0, 2.0]) / 3.0
+    for stretch in (1.0 + 5e-13, 1.0 - 5e-13):
+        LocalFilter(strength=0.3, axis=unit * stretch, scale=0.5)
+    for axis in (unit * (1.0 + 2e-12), unit * (1.0 - 2e-12), [NAN, NAN, NAN],
+                 [np.inf, 0.0, 0.0], [0.0, -np.inf, 1.0]):
+        with pytest.raises(DomainError, match="unit vector"):
+            LocalFilter(strength=0.3, axis=axis, scale=0.5)
+
+
+def test_unitary_residual_must_be_within_1e_10():
+    # (1 + d) 1 has residual |u u+ - 1| = sqrt(2) (2d + d^2)
+    def scaled_identity(residual):
+        return (1.0 + residual / (2.0 * math.sqrt(2.0))) * np.eye(2, dtype=complex)
+
+    identity = trivial_operation().filter
+    LocalOperation(unitary=scaled_identity(0.99e-10), filter=identity)
+    one_nan = np.eye(2, dtype=complex)
+    one_nan[1, 0] = NAN
+    for u in (scaled_identity(1.01e-10), one_nan):
+        with pytest.raises(DomainError, match="not unitary"):
+            LocalOperation(unitary=u, filter=identity)
+
+
 def test_compose_matches_operator_product(rng):
     for _ in range(20):
         op1 = random_op(rng, 0.7)

@@ -195,6 +195,22 @@ def test_non_finite_matrix_is_not_a_state():
                 call(DensityMatrix(m))
 
 
+@pytest.mark.parametrize("part", ["alpha", "beta", "R"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_pauli_rep_rejects_a_non_finite_coefficient(part, bad):
+    coeffs = {"alpha": np.zeros(3), "beta": np.zeros(3), "R": np.zeros((3, 3))}
+    coeffs[part].flat[-1] = bad
+    with pytest.raises(DomainError, match="finite"):
+        PauliRep(**coeffs)
+
+
+def test_one_infinite_entry_is_not_a_state():
+    m = make_werner(0.8).mat.copy()
+    m[2, 1] = np.inf
+    with pytest.raises(NotAState, match="non-finite"):
+        DensityMatrix(m)
+
+
 def test_pure_state_normalization():
     with pytest.raises(DomainError):
         PureState(np.array([1.0, 1.0, 0.0, 0.0]))
