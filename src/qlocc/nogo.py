@@ -210,7 +210,7 @@ class _Refinement(NamedTuple):
     x: np.ndarray  # (k, d) end points
     value: np.ndarray  # (k,) objective at the end points
     iterations: np.ndarray  # (k,)
-    converged: np.ndarray  # (k,) stopped as no step improved it by _IMPROVE_TOL
+    converged: np.ndarray  # (k,) stopped where no step could improve it by _IMPROVE_TOL
 
     @property
     def evaluations(self) -> np.ndarray:
@@ -229,10 +229,12 @@ def _quasi_newton(f, x0, max_iter):
     start's direction -H g, and the gradient at each start's best improving
     trial comes back with it. A start whose trials all fail to improve it by
     more than ``_IMPROVE_TOL`` retries once along -g with H reset to the
-    identity; failing again, it has converged. That is the only stop rule
-    of a converged start: a stationary start (g = 0) converges after one
-    iteration. A start also stops after ``max_iter`` iterations, or
-    (unconverged) at a non-finite gradient. So a start uses at most
+    identity; failing again, it stops. It has converged when the shortest
+    trial step's first-order decrease, ``_ALPHAS[-1]`` |g|^2, is at most
+    ``_IMPROVE_TOL``: a stationary start (g = 0) converges after one
+    iteration, while a start whose every step overshoots a steep slope stops
+    unconverged. A start also stops (unconverged) after ``max_iter``
+    iterations, or at a non-finite gradient. So a start uses at most
     1 + max_iter len(_ALPHAS) evaluations, and a call holds at most
     k len(_ALPHAS) points.
 
@@ -258,8 +260,11 @@ def _quasi_newton(f, x0, max_iter):
         best = np.arange(rows.size), np.argmin(ft, axis=1)
         x_new, f_new, g_new = trial[best], ft[best], gt.reshape(trial.shape)[best]
         ok = f_new < fx - _IMPROVE_TOL
-        converged = ~ok & fresh
-        stop = converged | (ok & ~np.isfinite(g_new).all(axis=1)) | (it == max_iter)
+        stuck = ~ok & fresh
+        stop = stuck | (ok & ~np.isfinite(g_new).all(axis=1)) | (it == max_iter)
+        # stuck where even the shortest step along -g promised no more than
+        # _IMPROVE_TOL to first order; else every step overshot
+        converged = stuck & (_ALPHAS[-1] * np.einsum("ki,ki->k", g, g) <= _IMPROVE_TOL)
         upd = np.flatnonzero(ok & ~stop)
         s, y = x_new[upd] - x[upd], g_new[upd] - g[upd]
         x[ok], fx[ok], g[ok] = x_new[ok], f_new[ok], g_new[ok]

@@ -178,6 +178,18 @@ def test_quasi_newton_iteration_cap_per_start():
         assert max(calls) <= len(STARTS_6D) * len(_ALPHAS)
 
 
+def test_quasi_newton_converges_only_where_the_shortest_step_is_resolved():
+    # from x1 = -12 the gradient is 7.5e3 long, so every trial step along -g
+    # overshoots, before and after the fresh-identity retry: the start stops
+    # after one iteration far from the minimum, and has not converged
+    starts = np.zeros((4, 6))
+    starts[:, 0] = (-12.0, -4.0, -6.0, -8.0)
+    res = _quasi_newton(_smooth_6d_with_gradient, starts, 200)
+    assert res.iterations[0] == 1 and res.value[0] > 1e4 and not res.converged[0]
+    assert res.converged[1:].all()
+    assert np.all(res.value[1:] < 1e-12)
+
+
 def _walled_6d(x):
     """The coupled quadratic plus quartic in the first five coordinates,
     its minimum 0 at MIN_6D[:5], with a gradient that is NaN wherever the
