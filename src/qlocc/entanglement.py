@@ -9,9 +9,10 @@ through the binary entropy. Ratios of the lambdas are unchanged by any
 invertible local filtering, which makes them single-copy invariants.
 
 A :class:`~qlocc.states.DensityMatrix` holds a read-only copy of its matrix
-and computes its spectrum once (``DensityMatrix.lambdas``); the spectrum,
-the concurrence, the entanglement of formation and the ratios of one state
-all read it.
+and computes its spectrum once (``DensityMatrix.lambdas``), and its
+concurrence once from that spectrum (``DensityMatrix.concurrence``); the
+spectrum, the concurrence, the entanglement of formation and the ratios of
+one state all read these.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qlocc._kernels import concurrence_from_lambdas
 from qlocc.states import SY, DensityMatrix
 
 _YY = np.kron(SY, SY)
@@ -71,9 +71,11 @@ def concurrence(rho: DensityMatrix) -> float:
     """max(0, l1 - l2 - l3 - l4) from the lambda spectrum; in [0, 1].
 
     Values below the rounding noise scale are returned as exactly zero,
-    the positive-side counterpart of the max with zero.
+    the positive-side counterpart of the max with zero. Read from the
+    state's cache (``DensityMatrix.concurrence``), so a state's concurrence
+    is computed once.
     """
-    return float(concurrence_from_lambdas(rho.lambdas))
+    return rho.concurrence
 
 
 def binary_entropy(p: float) -> float:

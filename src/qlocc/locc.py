@@ -9,6 +9,7 @@ closed factor mu^2 nu^2 (1-a^2)(1-b^2) / t.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -40,7 +41,8 @@ class LocalFilter:
 
     def __post_init__(self):
         axis = np.array(self.axis, dtype=float).reshape(3)
-        if not abs(np.linalg.norm(axis) - 1.0) <= 1e-12:  # NaN fails too
+        # np.linalg.norm's formula for a real vector; NaN fails too
+        if not abs(math.sqrt(axis @ axis) - 1.0) <= 1e-12:
             raise DomainError(f"filter axis {axis.tolist()} is not a unit vector")
         axis.flags.writeable = False
         a = real_number("filter strength a", self.strength)
@@ -71,7 +73,9 @@ class LocalOperation:
         u = np.array(self.unitary, dtype=np.complex128, order="C")
         if u.shape != (2, 2):
             raise DomainError("unitary must be 2x2")
-        if not np.linalg.norm(u @ u.conj().T - I2) <= 1e-10:  # NaN fails too
+        # the Frobenius norm as np.linalg.norm forms it; NaN fails too
+        d = (u @ u.conj().T - I2).ravel()
+        if not math.sqrt(d.real @ d.real + d.imag @ d.imag) <= 1e-10:
             raise DomainError("operator factor is not unitary within 1e-10")
         u.flags.writeable = False
         object.__setattr__(self, "unitary", u)
@@ -122,26 +126,24 @@ def decompose_local_op(A: np.ndarray) -> LocalOperation:
     if A.shape != (2, 2) or not np.isfinite(A).all():
         raise DomainError("operator must be a finite 2x2 matrix")
     w, s, vh = np.linalg.svd(A)
-    if s[0] > 1.0 + 1e-12:
-        raise NotPhysical(f"largest singular value {s[0]:.12g} exceeds 1")
-    if s[0] + s[1] <= 0.0:
+    s1, s2 = s.tolist()
+    if s1 > 1.0 + 1e-12:
+        raise NotPhysical(f"largest singular value {s1:.12g} exceeds 1")
+    if s1 + s2 <= 0.0:
         raise DomainError("cannot decompose the zero operator")
     u = w @ vh  # A = (W V+)(V diag(s) V+) = unitary * positive factor
-    nu = (s[0] + s[1]) / 2.0
-    a = (s[0] - s[1]) / (s[0] + s[1])
+    nu = (s1 + s2) / 2.0
+    a = (s1 - s2) / (s1 + s2)
     if a < 1e-14:
         a = 0.0
-        axis = _Z_AXIS.copy()
+        axis = _Z_AXIS
     else:
-        v1 = vh.conj().T[:, 0]  # dominant eigenvector of the positive factor
-        axis = np.array(
-            [
-                2.0 * (v1[0].conjugate() * v1[1]).real,
-                2.0 * (v1[0].conjugate() * v1[1]).imag,
-                abs(v1[0]) ** 2 - abs(v1[1]) ** 2,
-            ]
-        )
-        axis /= np.linalg.norm(axis)
+        # the dominant eigenvector of the positive factor is (p*, q*), with
+        # (p, q) the first row of V+; its Bloch vector, from Python scalars
+        p, q = vh[0].tolist()
+        pq = p * q.conjugate()
+        axis = np.array([2.0 * pq.real, 2.0 * pq.imag, abs(p) ** 2 - abs(q) ** 2])
+        axis /= math.sqrt(axis @ axis)
     f = LocalFilter(strength=a, axis=axis, scale=nu)
     return LocalOperation(unitary=u, filter=f)
 

@@ -7,6 +7,7 @@ are ordered (Psi-, Psi+, Phi-, Phi+), singlet first.
 
 from __future__ import annotations
 
+import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,6 +30,8 @@ BELL_AMPS = (
 )
 
 SINGLET_PROJ = np.outer(SINGLET_AMPS, SINGLET_AMPS.conj())
+# the projector onto the singlet's complement, 1 - S
+_NOT_SINGLET = np.eye(4) - SINGLET_PROJ
 
 TOL_STATE = 1e-10
 
@@ -81,8 +84,14 @@ class DensityMatrix:
     Construction checks its shape, and raises ``NotAState`` unless finite.
 
     ``mat`` is a read-only copy of the given matrix, so the state cannot
-    change after construction, and ``lambdas`` is computed once per state.
+    change after construction, and ``lambdas`` and ``concurrence`` are
+    computed once per state.
     """
+
+    # the concurrence is cached in a slot, outside the instance dict, so
+    # that vars() of a state (which perfbench's digests read) holds its
+    # matrix and its spectrum only
+    __slots__ = ("__dict__", "_concurrence")
 
     mat: np.ndarray
 
@@ -94,6 +103,7 @@ class DensityMatrix:
             raise NotAState("density matrix has a non-finite entry")
         m.flags.writeable = False
         object.__setattr__(self, "mat", m)
+        object.__setattr__(self, "_concurrence", None)
 
     def __reduce__(self):
         # copies and pickles are rebuilt through the constructor, which
@@ -109,6 +119,16 @@ class DensityMatrix:
         lam.flags.writeable = False
         return lam
 
+    @property
+    def concurrence(self) -> float:
+        """max(0, l1 - l2 - l3 - l4) of ``lambdas``, capped at 1
+        (:func:`~qlocc._kernels.concurrence_from_lambdas`), computed on
+        first use."""
+        if self._concurrence is None:
+            c = float(_kernels.concurrence_from_lambdas(self.lambdas))
+            object.__setattr__(self, "_concurrence", c)
+        return self._concurrence
+
 
 @dataclass(frozen=True, eq=False)
 class PauliRep:
@@ -123,10 +143,12 @@ class PauliRep:
     R: np.ndarray
 
     def __post_init__(self):
-        for name, shape in (("alpha", 3), ("beta", 3), ("R", (3, 3))):
-            value = np.asarray(getattr(self, name), dtype=float).reshape(shape)
-            if not np.isfinite(value).all():
-                raise DomainError("Pauli coefficients must be finite")
+        parts = {name: np.asarray(getattr(self, name), dtype=float).reshape(shape)
+                 for name, shape in (("alpha", 3), ("beta", 3), ("R", (3, 3)))}
+        # one finiteness pass over the 15 coefficients
+        if not all(map(math.isfinite, [x for v in parts.values() for x in v.ravel().tolist()])):
+            raise DomainError("Pauli coefficients must be finite")
+        for name, value in parts.items():
             object.__setattr__(self, name, value)
 
 
@@ -158,7 +180,7 @@ def make_werner(F: float) -> DensityMatrix:
     F = real_number("Werner fidelity F", F)
     if not 0.0 <= F <= 1.0:
         raise DomainError(f"Werner fidelity F={F} outside [0, 1]")
-    return DensityMatrix(F * SINGLET_PROJ + (1.0 - F) / 3.0 * (np.eye(4) - SINGLET_PROJ))
+    return DensityMatrix(F * SINGLET_PROJ + (1.0 - F) / 3.0 * _NOT_SINGLET)
 
 
 def make_bell_diagonal(p) -> DensityMatrix:
@@ -190,9 +212,9 @@ def from_pauli(rep: PauliRep) -> DensityMatrix:
     c[0, 0] = 1.0
     c[1:, 0], c[0, 1:], c[1:, 1:] = rep.alpha, rep.beta, rep.R
     m = np.einsum("k,kij->ij", c.ravel(), _PAULI_PRODUCTS) / 4.0
-    w = np.linalg.eigvalsh(m)
-    if w.min() < -TOL_STATE:
-        raise NotAState(f"reconstruction has eigenvalue {w.min():.3e}")
+    w_min = np.linalg.eigvalsh(m)[0]  # eigvalsh's eigenvalues ascend
+    if w_min < -TOL_STATE:
+        raise NotAState(f"reconstruction has eigenvalue {w_min:.3e}")
     return DensityMatrix(m)
 
 

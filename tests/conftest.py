@@ -4,11 +4,19 @@ tests draw from, reference oracles and fixtures."""
 import numpy as np
 import pytest
 
-from qlocc import _kernels
-from qlocc.errors import DomainError
+from qlocc import _kernels, protocols
+from qlocc._kernels import kron
+from qlocc.errors import DomainError, NotPhysical
 from qlocc.locc import LocalFilter, LocalOperation, decompose_local_op
 from qlocc.nogo import FloorCheck, probability_floor
-from qlocc.states import DensityMatrix, PureState, fidelity, make_bell_diagonal, make_werner
+from qlocc.states import (
+    DensityMatrix,
+    PureState,
+    fidelity,
+    make_bell_diagonal,
+    make_werner,
+    real_number,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -191,6 +199,62 @@ def collective_step_closed_form(F: float) -> tuple[float, float]:
     p_succ = F * F + 2.0 * F * rest + 5.0 * rest * rest
     f_prime = (F * F + rest * rest) / p_succ
     return f_prime, p_succ
+
+
+# the entries of the 16x16 density matrix kept when both second-pair
+# outcomes are 0, or both 1
+KEEP_00 = np.outer(protocols._MASK_00, protocols._MASK_00)
+KEEP_11 = np.outer(protocols._MASK_11, protocols._MASK_11)
+
+
+def collective_step_oracle(F: float) -> tuple[float, float]:
+    """The recurrence step by literal 16x16 simulation: the tensor square,
+    the bilateral CNOT as a matrix product, the keep masks and an einsum
+    over the second pair. :func:`qlocc.protocols.collective_step` must
+    return its bits."""
+    F = real_number("recurrence input fidelity F", F)
+    if not 0.5 < F < 1.0:
+        raise DomainError(f"recurrence input fidelity F={F} must lie in (1/2, 1)")
+    chi = protocols._TO_PHI @ make_werner(F).mat @ protocols._TO_PHI.conj().T
+    total = kron(chi, chi)
+    total = protocols._BILATERAL_CNOT @ total @ protocols._BILATERAL_CNOT.conj().T
+    kept = total * KEEP_00 + total * KEEP_11
+    p_succ = float(np.trace(kept).real)
+    reduced = np.einsum("abcdefcd->abef", kept.reshape([2] * 8)).reshape(4, 4) / p_succ
+    f_prime = float(np.trace(reduced @ protocols._PHI_PLUS_PROJ).real)
+    return f_prime, p_succ
+
+
+def decompose_local_op_oracle(A: np.ndarray) -> LocalOperation:
+    """Unitary * filter split with the axis built as a numpy array and
+    normalized by ``np.linalg.norm``. :func:`qlocc.locc.decompose_local_op`
+    must return its bits."""
+    A = np.ascontiguousarray(A, dtype=np.complex128)
+    if A.shape != (2, 2) or not np.isfinite(A).all():
+        raise DomainError("operator must be a finite 2x2 matrix")
+    w, s, vh = np.linalg.svd(A)
+    if s[0] > 1.0 + 1e-12:
+        raise NotPhysical(f"largest singular value {s[0]:.12g} exceeds 1")
+    if s[0] + s[1] <= 0.0:
+        raise DomainError("cannot decompose the zero operator")
+    u = w @ vh
+    nu = (s[0] + s[1]) / 2.0
+    a = (s[0] - s[1]) / (s[0] + s[1])
+    if a < 1e-14:
+        a = 0.0
+        axis = np.array([0.0, 0.0, 1.0])
+    else:
+        v1 = vh.conj().T[:, 0]
+        axis = np.array(
+            [
+                2.0 * (v1[0].conjugate() * v1[1]).real,
+                2.0 * (v1[0].conjugate() * v1[1]).imag,
+                abs(v1[0]) ** 2 - abs(v1[1]) ** 2,
+            ]
+        )
+        axis /= np.linalg.norm(axis)
+    f = LocalFilter(strength=a, axis=axis, scale=nu)
+    return LocalOperation(unitary=u, filter=f)
 
 
 def probability_floor_sequence(

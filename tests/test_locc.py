@@ -27,6 +27,7 @@ from conftest import (
     NOT_REAL_NUMBERS,
     SY,
     compose_local_ops,
+    decompose_local_op_oracle,
     random_density_matrix,
     random_entangled_bell_diagonal,
     random_filter,
@@ -159,6 +160,20 @@ def test_decompose_random_contractions(rng):
         a /= np.linalg.svd(a, compute_uv=False)[0] * (1.0 + rng.random())
         op = decompose_local_op(a)
         assert np.linalg.norm(a - op.matrix) < 1e-10
+
+
+def test_decompose_has_the_bits_of_the_array_route():
+    # 2000 Haar unitaries times random filters, strengths up to 1, and the
+    # degenerate and diagonal cases
+    rng = np.random.default_rng(29)
+    ops = [random_unitary(rng) @ filter_matrix(random_filter(rng, max_strength=1.0))
+           for _ in range(2000)]
+    for A in [*ops, np.eye(2), random_unitary(rng), np.diag([0.9, 0.3]), np.diag([0.0, 0.4])]:
+        new, old = decompose_local_op(A), decompose_local_op_oracle(A)
+        assert new.unitary.tobytes() == old.unitary.tobytes()
+        assert new.filter.axis.tobytes() == old.filter.axis.tobytes()
+        assert new.filter.strength.hex() == old.filter.strength.hex()
+        assert new.filter.scale.hex() == old.filter.scale.hex()
 
 
 def test_decompose_rejects_expansions():

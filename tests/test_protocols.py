@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qlocc import protocols
+from qlocc._kernels import kron
 from qlocc.errors import DomainError, TargetNotReached
 from qlocc.protocols import (
     RecurrenceTrace,
@@ -9,7 +11,7 @@ from qlocc.protocols import (
     trace_to_csv,
 )
 
-from conftest import NOT_REAL_NUMBERS, collective_step_closed_form
+from conftest import NOT_REAL_NUMBERS, collective_step_closed_form, collective_step_oracle
 
 
 def test_simulation_matches_closed_form():
@@ -18,6 +20,31 @@ def test_simulation_matches_closed_form():
         fc, pc = collective_step_closed_form(f)
         assert abs(fs - fc) < 1e-10
         assert abs(ps - pc) < 1e-10
+
+
+def test_step_has_the_bits_of_the_literal_simulation():
+    # 2000 uniform fidelities in (1/2, 1) and the ends of the interval
+    fs = 0.5 + 0.5 * np.random.default_rng(29).random(2000)
+    ends = [np.nextafter(0.5, 1.0), 0.5 + 1e-9, 1.0 - 1e-12, np.nextafter(1.0, 0.0)]
+    for f in [*fs.tolist(), *ends]:
+        new, old = collective_step(f), collective_step_oracle(f)
+        assert [x.hex() for x in new] == [x.hex() for x in old], f
+
+
+def test_index_tables_are_the_step_unitaries():
+    # the bilateral CNOT is the permutation matrix of its index table, and
+    # the tables read each entry of the conjugated tensor square as kron
+    # forms it; _TO_PHI's conjugation is a move and a sign per entry
+    cnot = protocols._BILATERAL_CNOT
+    assert np.array_equal(cnot, np.eye(16)[protocols._CNOT_INDEX])
+    rng = np.random.default_rng(3)
+    m = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    flat = m.ravel()
+    np.testing.assert_array_equal(flat[protocols._LEFT] * flat[protocols._RIGHT],
+                                  cnot @ kron(m, m) @ cnot.conj().T)
+    to_phi = protocols._TO_PHI
+    np.testing.assert_array_equal(flat[protocols._PHI_INDEX] * protocols._PHI_SIGNS,
+                                  (to_phi @ m @ to_phi.conj().T).ravel())
 
 
 def test_step_strictly_increases_fidelity():
