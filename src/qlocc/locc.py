@@ -18,7 +18,7 @@ import numpy as np
 from qlocc._kernels import TOL_PROB, kron
 from qlocc.entanglement import concurrence
 from qlocc.errors import DomainError, FilteredOut, NotAttained, NotPhysical
-from qlocc.states import I2, SX, SY, SZ, DensityMatrix, PauliRep, real_number
+from qlocc.states import I2, SX, SY, SZ, DensityMatrix, PauliRep, all_finite, real_number
 
 # normal form: largest marginal deviation from 1/2 (trace-normalized) at
 # which both marginals count as proportional to the identity, and the
@@ -123,7 +123,7 @@ def decompose_local_op(A: np.ndarray) -> LocalOperation:
     Degenerate s1 = s2 yields a = 0 with the canonical z axis.
     """
     A = np.ascontiguousarray(A, dtype=np.complex128)
-    if A.shape != (2, 2) or not np.isfinite(A).all():
+    if A.shape != (2, 2) or not all_finite(A):
         raise DomainError("operator must be a finite 2x2 matrix")
     w, s, vh = np.linalg.svd(A)
     s1, s2 = s.tolist()
@@ -162,7 +162,7 @@ def apply_local_pair(rho: DensityMatrix, opA: LocalOperation, opB: LocalOperatio
     below ``TOL_PROB`` (the branch removes all particles).
     """
     raw = _conjugate(opA.matrix, opB.matrix, rho.mat)
-    t = float(np.trace(raw).real)
+    t = float(raw.trace().real)
     if t <= TOL_PROB:
         raise FilteredOut(f"branch probability {t:.3e} is at or below {TOL_PROB}")
     return LoccOutcome(state=DensityMatrix(raw / t), probability=t)

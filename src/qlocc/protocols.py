@@ -98,7 +98,7 @@ def collective_step(F: float) -> tuple[float, float]:
     entries = chi[_READ_LEFT] * chi[_READ_RIGHT]
     p_succ = float((entries[:16] * _KEEP).sum().real)
     reduced = (entries[16:32] + entries[32:]).reshape(4, 4) / p_succ
-    f_prime = float(np.trace(reduced @ _PHI_PLUS_PROJ).real)
+    f_prime = float((reduced @ _PHI_PLUS_PROJ).trace().real)
     return f_prime, p_succ
 
 
