@@ -150,11 +150,10 @@ class PauliRep:
     R: np.ndarray
 
     def __post_init__(self):
-        parts = {name: np.asarray(getattr(self, name), dtype=float).reshape(shape)
-                 for name, shape in (("alpha", 3), ("beta", 3), ("R", (3, 3)))}
-        if not all(map(all_finite, parts.values())):
-            raise DomainError("Pauli coefficients must be finite")
-        for name, value in parts.items():
+        for name, shape in (("alpha", 3), ("beta", 3), ("R", (3, 3))):
+            value = np.asarray(getattr(self, name), dtype=float).reshape(shape)
+            if not all_finite(value):
+                raise DomainError("Pauli coefficients must be finite")
             object.__setattr__(self, name, value)
 
 
