@@ -169,6 +169,21 @@ def test_one_spectrum_per_state(monkeypatch):
     assert calls == {"state_root": 1, "_svd": 1}
 
 
+def test_one_concurrence_per_state(monkeypatch):
+    # the concurrence and the entanglement of formation share one
+    # computation, cached outside the instance dict, so vars() of a state
+    # holds its matrix and its spectrum only
+    calls = []
+    fn = _kernels.concurrence_from_lambdas
+    monkeypatch.setattr(_kernels, "concurrence_from_lambdas",
+                        lambda lam: calls.append(lam) or fn(lam))
+    rho = make_bell_diagonal([0.7, 0.1, 0.15, 0.05])
+    assert concurrence(rho) == concurrence(rho) == float(fn(rho.lambdas))
+    entanglement_of_formation(rho)
+    assert len(calls) == 1
+    assert list(vars(rho)) == ["mat", "lambdas"]
+
+
 def test_cached_spectrum_keeps_the_kernel_bits(rng):
     # whichever quantity reads a state's spectrum first, all four equal the
     # uncached kernel route bit for bit
