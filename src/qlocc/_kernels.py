@@ -18,16 +18,30 @@ gain entries run one chunk body (``_gain_chunk``), so a filter pair has the
 same gain bits from either: ``filter_gain_batch``, which scores the
 search's candidate table in chunks over a thread pool (a ``fill`` hook
 lets the search draw each chunk's random rows on its worker), and
-``filter_gain_gradient``, the refinement's, with exact gradients. A point's singular values, and the
-gradient's singular vectors, come from the norms and directions of tau's
-columns wherever a per-point test shows them accurate
-(``tau_singular_values``); the other points go to ``_svd``, in one call
-per chunk.
+``filter_gain_gradient``, the refinement's, with exact gradients. A
+point's singular values, and the gradient's singular vectors, come from the
+norms and directions of tau's columns wherever a per-point test shows them
+accurate (``tau_singular_values``); the other points go to ``_svd``, in one
+call per chunk.
+
+The chunk body allocates nothing that grows with the chunk: it writes every
+chunk-sized intermediate into a workspace of three flat complex buffers, 16
+entries per point each (768 bytes a point, 3.1 MB at ``CHUNK``), which its
+stages share. Workspaces stay on a module-level free list (``_workspaces``).
+A chunk takes one, grows it if it is shorter than the chunk, and gives it
+back when done, so the list holds one workspace per chunk that ever ran at
+the same time: for one calling thread, one per worker of the largest pool,
+at most one per usable CPU. The pool's threads end with each call; only the
+buffers stay. With fresh temporaries, glibc gave each chunk's 3.9 MB back to
+the system and the next chunk faulted it in again: about 3,500 minor page
+faults per Bell-diagonal certificate of about 19,700 filter pairs, where the
+workspaces take about 400.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 
 import numpy as np
 
@@ -56,9 +70,9 @@ _EPS = float(np.finfo(np.float64).eps)
 _YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 # the signs of l1 - l2 - l3 - l4
 _CONC_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
-# filter_gain_batch evaluates its points in chunks of this many, so the
-# temporaries of one chunk stay within a few MB; every chunk length takes
-# the same route, so a point's bits do not depend on its chunk
+# filter_gain_batch evaluates its points in chunks of this many, so a
+# chunk's workspace stays at 3.1 MB; every chunk length takes the same
+# route, so a point's bits do not depend on its chunk
 CHUNK = 4096
 # tau_singular_values takes a point's column norms as its singular values
 # when every column pair (p, q) has |<p, q>| <= ORTHO_TOL * t * (|p| + |q|)
@@ -67,8 +81,15 @@ ORTHO_TOL = 4.0 * _EPS
 # column of norm at most COLUMN_FLOOR * t, whose direction rounding decides
 COLUMN_FLOOR = 64.0 * _EPS
 # the six column pairs (p, q), p < q
-_PAIR_P = [0, 0, 0, 1, 1, 2]
-_PAIR_Q = [1, 2, 3, 2, 3, 3]
+_PAIR_P = np.array([0, 0, 0, 1, 1, 2])
+_PAIR_Q = np.array([1, 2, 3, 2, 3, 3])
+# The free list of workspaces not in use (see _gain_chunk). A chunk takes
+# one and gives it back when done; list.pop and list.append are atomic, so
+# the pool's workers share the list without a lock.
+_workspaces = []
+# .scratch: while a chunk runs on a thread, the flat buffer that
+# tau_singular_values may write over on it
+_held = threading.local()
 
 
 def eigvals4x4(m):
@@ -197,6 +218,11 @@ def tau_singular_values(tau, t, differential=False):
     order and LAPACK solves each matrix on its own, so a point's values
     depend only on the point.
 
+    The intermediates go into a flat buffer of 32 N floats, and the values
+    returned are a view of it: inside :func:`_gain_chunk`, the scratch its
+    workspace sets aside on the calling thread, which the chunk's next use
+    writes over; anywhere else, a new buffer.
+
     What the test guarantees. Write tau+ tau = D + E, D holding the squared
     norms n_p^2 and E the inner products e_pq, and compare
     C = s1 - s2 - s3 - s4 = 2 s1 - sum(s) of the singular values s with C'
@@ -250,17 +276,37 @@ def tau_singular_values(tau, t, differential=False):
     LAPACK's vectors at strengths up to 0.999999, and within 5e-12 for
     points whose shortest column lies within 1000 times the floor.
     """
-    sq = tau.real**2 + tau.imag**2
-    norms = np.sqrt((sq[0] + sq[1]) + (sq[2] + sq[3]))
-    # one pair at a time: gathering all six takes two (4, 6, N) temporaries,
-    # the largest of a chunk
-    g = np.empty((6, len(t)), dtype=tau.dtype)
-    for k, (i, j) in enumerate(zip(_PAIR_P, _PAIR_Q)):
-        r = tau[:, i].conj()
-        r *= tau[:, j]
-        g[k] = (r[0] + r[1]) + (r[2] + r[3])
-    bound = (ORTHO_TOL * t) * (norms[_PAIR_P] + norms[_PAIR_Q])
-    full = (g.real**2 + g.imag**2 > bound * bound).any(axis=0)
+    n = len(t)
+    # the views of the buffer overlap where one is dead before the next is
+    # written
+    s = getattr(_held, "scratch", None)
+    if s is None:
+        s = np.empty(32 * n)
+    sq, sq_imag = s[: 32 * n].reshape(2, 4, 4, n)
+    np.add(np.square(tau.real, out=sq), np.square(tau.imag, out=sq_imag), out=sq)
+    np.add(sq[0], sq[1], out=sq[0])
+    np.add(sq[2], sq[3], out=sq[2])
+    norms = np.sqrt(np.add(sq[0], sq[2], out=sq[0]), out=sq[0])
+    # the six pair products, one pair at a time into a (4, N) row block
+    g = s[4 * n : 16 * n].view(np.complex128).reshape(6, n)
+    r = s[16 * n : 24 * n].view(np.complex128).reshape(4, n)
+    cols, (r0, r1, r2, r3) = tau.swapaxes(0, 1), r
+    for gk, i, j in zip(g, _PAIR_P, _PAIR_Q):
+        np.conjugate(cols[i], out=r)
+        np.multiply(r, cols[j], out=r)
+        np.add(r0, r1, out=gk)
+        np.add(r2, r3, out=r2)
+        np.add(gk, r2, out=gk)
+    # the test bound (ORTHO_TOL t) (n_p + n_q); take buffers its output
+    # unless told how to treat indices out of range, which these are not
+    bound, pair = s[24 * n : 30 * n].reshape(6, n), s[16 * n : 22 * n].reshape(6, n)
+    np.add(norms.take(_PAIR_P, 0, bound, "clip"), norms.take(_PAIR_Q, 0, pair, "clip"), out=bound)
+    np.multiply(np.multiply(ORTHO_TOL, t, out=s[30 * n : 31 * n]), bound, out=bound)
+    # |<p, q>|^2 > bound^2; the real squares go apart from g, as an output
+    # interleaved with an input would make numpy copy the input
+    gi = g.imag
+    np.add(np.square(g.real, out=pair), np.square(gi, out=gi), out=pair)
+    full = (pair > np.multiply(bound, bound, out=bound)).any(axis=0)
     if differential:
         lapack = full | (norms <= COLUMN_FLOOR * t).any(axis=0)
         w = np.divide(-1.0, norms, out=np.zeros_like(norms), where=~lapack)
@@ -276,51 +322,83 @@ def tau_singular_values(tau, t, differential=False):
     return (sv, q) if differential else sv
 
 
-def _filters(s, v):
-    """(2, 2, N) stack of filters (1 + s v.sigma)/(1 + s), built elementwise."""
-    nu = 1.0 / (1.0 + s)
-    snu = s * nu
-    f = np.empty((2, 2, len(s)), dtype=np.complex128)
-    f[0, 0] = nu + snu * v[:, 2]
-    f[1, 1] = nu - snu * v[:, 2]
-    f[0, 1] = snu * (v[:, 0] - 1j * v[:, 1])
-    f[1, 0] = snu * (v[:, 0] + 1j * v[:, 1])
-    return f
+def _filters(s, v, f, scratch):
+    """Writes the (2, 2, N) stack of filters (1 + s v.sigma)/(1 + s) into
+    ``f``, built elementwise; ``scratch`` is a flat buffer of 5 N floats."""
+    k = len(s)
+    nu, snu, w = scratch[: 3 * k].reshape(3, k)
+    c = scratch[3 * k : 5 * k].view(np.complex128)
+    np.divide(1.0, np.add(1.0, s, out=nu), out=nu)
+    np.multiply(s, nu, out=snu)
+    np.multiply(snu, v[:, 2], out=w)
+    np.add(nu, w, out=f.real[0, 0])
+    np.subtract(nu, w, out=f.real[1, 1])
+    f.imag[0, 0] = f.imag[1, 1] = 0.0
+    np.multiply(1j, v[:, 1], out=c)
+    np.multiply(snu, np.subtract(v[:, 0], c, out=f[0, 1]), out=f[0, 1])
+    np.multiply(snu, np.add(v[:, 0], c, out=f[1, 0]), out=f[1, 0])
 
 
-def _filtered_roots(x, fa, fb):
-    """(4, 4, N) roots (A x B) X of the filtered states, X as (2, 2, 4) and
-    the filters as (2, 2, N) stacks from :func:`_filters`.
+def _filtered_roots(x, fa, fb, z, y, half):
+    """Writes the roots (A x B) X of the filtered states into ``z``, as
+    (2, 2, 4, N), with X as (2, 2, 4) and the filters as (2, 2, N) stacks
+    from :func:`_filters`; ``y``, (2, 2, 4, N), and ``half``, (2, 4, N),
+    are scratch.
 
     The filters are Hermitian, so (A x B) X is a root of the transformed
     state. X's rows are (Alice, Bob) index pairs, so B acts on axis 1 and
-    A on axis 0 of the (2, 2, 4, N) product.
+    A on axis 0 of the (2, 2, 4, N) product: y = (1 x B) X is the sum of
+    two broadcast products, and each half z[i] of (A x 1) y another.
     """
-    y = x[:, None, 0, :, None] * fb[:, 0, None] + x[:, None, 1, :, None] * fb[:, 1, None]
-    return (fa[:, 0, None, None] * y[0] + fa[:, 1, None, None] * y[1]).reshape(4, 4, -1)
+    np.multiply(x[:, None, 0, :, None], fb[:, 0, None], out=y)
+    np.add(y, np.multiply(x[:, None, 1, :, None], fb[:, 1, None], out=z), out=y)
+    for i in range(2):
+        np.multiply(fa[i, 0, None, None], y[0], out=z[i])
+        np.add(z[i], np.multiply(fa[i, 1, None, None], y[1], out=half), out=z[i])
 
 
-def _squared_norms(z):
-    """(N,) squared norms of a (4, 4, N) stack.
+def _squared_norms(z, scratch):
+    """(N,) squared norms of a (4, 4, N) stack, as a view of the flat
+    ``scratch`` of 32 N floats.
 
     Summed by halving the 16 entries, in one order whatever N is; numpy's
     ``sum`` changes its order at N = 1.
     """
-    q = (z.real**2 + z.imag**2).reshape(16, -1)
-    while len(q) > 1:
-        q = q[: len(q) // 2] + q[len(q) // 2 :]
+    k = z.shape[-1]
+    q, q_imag = scratch[: 32 * k].reshape(2, 16, k)
+    np.square(z.real, out=q.reshape(z.shape))
+    np.square(z.imag, out=q_imag.reshape(z.shape))
+    np.add(q, q_imag, out=q)
+    h = len(q)
+    while h > 1:
+        h //= 2
+        np.add(q[:h], q[h : 2 * h], out=q[:h])
     return q[0]
 
 
-def _tau(z):
-    """(4, 4, N) stack of tau = Z^T (sy x sy) Z for roots Z as (4, 4, N).
+def _tau(z, m, tau):
+    """Writes tau = Z^T (sy x sy) Z into ``tau`` for roots Z, all as
+    (4, 4, N); ``m`` is scratch, and so is ``tau`` until the last step.
 
     (sy x sy) pairs rows 1, 2 with sign +1 and rows 0, 3 with -1, so
     tau = M + M^T with M = z1 z2^T - z0 z3^T.
     """
-    mz = z[1, :, None] * z[2]
-    mz -= z[0, :, None] * z[3]
-    return mz + mz.swapaxes(0, 1)
+    np.multiply(z[1, :, None], z[2], out=m)
+    np.subtract(m, np.multiply(z[0, :, None], z[3], out=tau), out=m)
+    return np.add(m, m.swapaxes(0, 1), out=tau)
+
+
+def _take(k):
+    """A workspace for ``k`` points, three flat complex buffers of 16 entries
+    per point: the one last given back to the free list, or a new one if
+    the list is empty or that one is shorter (it is then dropped)."""
+    try:
+        ws = _workspaces.pop()
+    except IndexError:
+        ws = None
+    if ws is None or len(ws[0]) < 16 * k:
+        ws = [np.empty(16 * k, dtype=np.complex128) for _ in range(3)]
+    return ws
 
 
 def _usable_cpus():
@@ -345,41 +423,64 @@ def _gain_chunk(x, c_in, a, n, b, m, gains, t, grad=None):
     policy is :func:`concurrence_from_lambdas`, as for a single state. So a
     point's gain and t depend only on the point, not on its chunk or entry.
     """
-    # the values need the filters only for the roots, and the roots only
-    # for t and tau; freeing each when done keeps a chunk's peak memory down
-    f = (_filters(a, n), _filters(b, m))
-    z = _filtered_roots(x, *f)
-    if grad is None:
-        del f
-    t[:] = _squared_norms(z)
-    gains[:] = -np.inf
-    ok = t > TOL_PROB
-    if not ok.any():
-        return
-    z = z if ok.all() else z[:, :, ok]
-    tau, tk = _tau(z), t[ok]
-    if grad is None:
-        del z
-        sv = tau_singular_values(tau, tk)
-        gains[ok] = concurrence_from_lambdas(sv / tk[:, None]) - c_in
-        return
-    sv, q = tau_singular_values(tau, tk, differential=True)
-    c = concurrence_from_lambdas(sv / tk[:, None])
-    gains[ok] = c - c_in
-    cnum = sv[:, 0] - sv[:, 1] - sv[:, 2] - sv[:, 3]
-    zf, q = z.transpose(2, 0, 1), q.transpose(2, 0, 1)
-    # P + P^T = conj(Q + Q^T), and Z^T S = (S Z)^T
-    r = (q + q.swapaxes(1, 2)).conj() @ (_YY_SIGNS * zf[:, ::-1]).swapaxes(1, 2)
-    r /= tk[:, None, None]
-    r -= (2.0 * cnum / tk**2)[:, None, None] * zf.conj().swapaxes(1, 2)
-    k = (x.reshape(4, 4) @ r).reshape(-1, 2, 2, 2, 2)  # K[(a b), (a' b')]
-    fa, fb = f[0][:, :, ok], f[1][:, :, ok]
-    g = np.concatenate([
-        np.einsum("nabcd,dbn,kca->nk", k, fb, PAULI).real / (1.0 + a[ok])[:, None],
-        np.einsum("nabcd,can,kdb->nk", k, fa, PAULI).real / (1.0 + b[ok])[:, None],
-    ], axis=1)
-    g[(c <= 0.0) | (c >= 1.0)] = 0.0
-    grad[ok] = g
+    # Every chunk-sized intermediate goes into the three flat buffers of a
+    # workspace (yb, zb, wb), each stage writing over what is dead by then:
+    # the filters go into wb's first half and their scratch rows into yb;
+    # (1 x B) X into yb and the roots into zb, with wb's second half as
+    # scratch; t's squares into yb; the kept roots stay in zb or go into
+    # yb, and M into the other one (spare), where tau_singular_values then
+    # works; tau goes into wb, and once it is solved, the spectra over t.
+    size = len(a)
+    ws = _take(size)
+    try:
+        yb, zb, wb = (buf[: 16 * size] for buf in ws)
+        fa, fb = wb[: 8 * size].reshape(2, 2, 2, size)
+        _filters(a, n, fa, yb.view(np.float64))
+        _filters(b, m, fb, yb.view(np.float64))
+        _filtered_roots(x, fa, fb, zb.reshape(2, 2, 4, size), yb.reshape(2, 2, 4, size),
+                        wb[8 * size :].reshape(2, 4, size))
+        z = zb.reshape(4, 4, size)
+        t[:] = _squared_norms(z, yb.view(np.float64))
+        gains[:] = -np.inf
+        ok = t > TOL_PROB
+        if not ok.any():
+            return
+        if grad is not None:
+            # copies: tau is written over the filters
+            fa, fb = fa[:, :, ok], fb[:, :, ok]
+        tk = t[ok]
+        kept = len(tk)
+        if kept == size:
+            spare = yb
+        else:
+            z, spare = np.compress(ok, z, axis=2, out=yb[: 16 * kept].reshape(4, 4, kept)), zb
+        tau = _tau(z, spare[: 16 * kept].reshape(4, 4, kept), wb[: 16 * kept].reshape(4, 4, kept))
+        _held.scratch = spare.view(np.float64)
+        if grad is None:
+            sv = tau_singular_values(tau, tk)
+        else:
+            sv, q = tau_singular_values(tau, tk, differential=True)
+        c = concurrence_from_lambdas(np.divide(sv, tk[:, None],
+                                               out=wb.view(np.float64)[: 4 * kept].reshape(kept, 4)))
+        gains[ok] = c - c_in
+        if grad is None:
+            return
+        cnum = sv[:, 0] - sv[:, 1] - sv[:, 2] - sv[:, 3]
+        zf, q = z.transpose(2, 0, 1), q.transpose(2, 0, 1)
+        # P + P^T = conj(Q + Q^T), and Z^T S = (S Z)^T
+        r = (q + q.swapaxes(1, 2)).conj() @ (_YY_SIGNS * zf[:, ::-1]).swapaxes(1, 2)
+        r /= tk[:, None, None]
+        r -= (2.0 * cnum / tk**2)[:, None, None] * zf.conj().swapaxes(1, 2)
+        k = (x.reshape(4, 4) @ r).reshape(-1, 2, 2, 2, 2)  # K[(a b), (a' b')]
+        g = np.concatenate([
+            np.einsum("nabcd,dbn,kca->nk", k, fb, PAULI).real / (1.0 + a[ok])[:, None],
+            np.einsum("nabcd,can,kdb->nk", k, fa, PAULI).real / (1.0 + b[ok])[:, None],
+        ], axis=1)
+        g[(c <= 0.0) | (c >= 1.0)] = 0.0
+        grad[ok] = g
+    finally:
+        _held.scratch = None
+        _workspaces.append(ws)
 
 
 def filter_gain_batch(rho, c_in, a, n, b, m, *, fill=None):
@@ -400,7 +501,10 @@ def filter_gain_batch(rho, c_in, a, n, b, m, *, fill=None):
     chunks of ``CHUNK``. A batch of two or more chunks is spread over a
     thread pool with one worker per usable CPU (at most one per chunk);
     numpy's kernels release the GIL, so the chunks run in parallel. Each
-    point's result is the same whichever chunk or thread evaluates it.
+    point's result is the same whichever chunk or thread evaluates it, and
+    whichever workspace of the free list the chunk computes in (see the
+    module docstring): once those exist, a batch allocates its results and
+    nothing that grows with a chunk.
 
     ``fill``, if given, is called as ``fill(lo, a, n, b, m)`` on the worker
     just before a chunk is scored, with ``lo`` the chunk's first row and
@@ -434,7 +538,8 @@ def filter_gain_batch(rho, c_in, a, n, b, m, *, fill=None):
             run(lo)
     else:
         # imported here, not at module level: it would add about 8 ms to
-        # every import qlocc, and a pool per call leaves nothing behind
+        # every import qlocc. The pool's threads end with the call; the
+        # workspaces they computed in stay on the free list, one per worker.
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:

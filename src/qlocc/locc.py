@@ -18,7 +18,17 @@ import numpy as np
 from qlocc._kernels import TOL_PROB, kron
 from qlocc.entanglement import concurrence
 from qlocc.errors import DomainError, FilteredOut, NotAttained, NotPhysical
-from qlocc.states import I2, SX, SY, SZ, DensityMatrix, PauliRep, all_finite, real_number
+from qlocc.states import (
+    I2,
+    SX,
+    SY,
+    SZ,
+    DensityMatrix,
+    PauliRep,
+    all_finite,
+    real_number,
+    require_state,
+)
 
 # normal form: largest marginal deviation from 1/2 (trace-normalized) at
 # which both marginals count as proportional to the identity, and the
@@ -250,12 +260,15 @@ def normal_form(rho: DensityMatrix) -> NormalForm:
     unchanged, so the optimum over all filter pairs is C(rho) / trace.
     Werner and Bell-diagonal input is its own normal form (0 iterations).
 
-    Raises :class:`~qlocc.errors.NotAttained` when a marginal becomes
-    singular or the residual is above ``TOL_MARGINAL`` after
+    Raises :class:`~qlocc.errors.NotAState` when rho fails
+    :func:`~qlocc.states.validate`, and
+    :class:`~qlocc.errors.NotAttained` when a marginal becomes singular or
+    the residual is above ``TOL_MARGINAL`` after
     ``NF_MAX_ITER`` iterations: then no finite filter pair attains the
     optimum (for example, a product state, or a rank-2 mixture of a Bell
     state and a product state, whose filters diverge).
     """
+    require_state(rho)
     fa = I2.copy()
     fb = I2.copy()
     tr_in = float(np.trace(rho.mat).real)

@@ -57,6 +57,7 @@ from qlocc.states import (
     integer_in_range,
     make_werner,
     real_number,
+    require_state,
     to_pauli,
 )
 
@@ -329,10 +330,12 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     where that gain is larger.
 
     Deterministic: identical config (including seed) yields an identical
-    certificate. Raises :class:`~qlocc.errors.NotEntangled` when the input
-    carries no concurrence to begin with.
+    certificate. Raises :class:`~qlocc.errors.NotAState` when the input
+    fails :func:`~qlocc.states.validate`, and
+    :class:`~qlocc.errors.NotEntangled` when it carries no concurrence to
+    begin with.
     """
-    c_in = concurrence(rho)
+    c_in = concurrence(require_state(rho))
     if c_in <= 0.0:
         raise NotEntangled("input state has zero concurrence; nothing to gain or lose")
     grid_size = cfg.grid_density**6

@@ -88,7 +88,11 @@ def check_probability_vector(p) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class DensityMatrix:
     """A two-qubit density matrix: Hermitian, unit trace, PSD 4x4 matrix.
-    Construction checks its shape, and raises ``NotAState`` unless finite.
+    Construction checks only its shape, and raises ``NotAState`` unless
+    finite. The state invariants are :func:`validate`'s: the JSON reader,
+    the search and the normal form check them (:func:`require_state`), and
+    construction does not, as the single-state routes build a state per
+    operation.
 
     ``mat`` is a read-only copy of the given matrix, so the state cannot
     change after construction, and ``lambdas`` and ``concurrence`` are
@@ -143,6 +147,9 @@ class PauliRep:
     correlation matrix R, so that
     rho = (1/4)[1 + alpha.sigma x 1 + 1 x beta.sigma + R_ij sigma_i x sigma_j].
     Raises :class:`~qlocc.errors.DomainError` for a non-finite coefficient.
+
+    Each part is a read-only copy of the given array, so the record cannot
+    change after construction.
     """
 
     alpha: np.ndarray
@@ -151,10 +158,16 @@ class PauliRep:
 
     def __post_init__(self):
         for name, shape in (("alpha", 3), ("beta", 3), ("R", (3, 3))):
-            value = np.asarray(getattr(self, name), dtype=float).reshape(shape)
+            value = np.array(getattr(self, name), dtype=float).reshape(shape)
             if not all_finite(value):
                 raise DomainError("Pauli coefficients must be finite")
+            value.flags.writeable = False
             object.__setattr__(self, name, value)
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt through the constructor, which
+        # marks their parts read-only
+        return PauliRep, (self.alpha, self.beta, self.R)
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,6 +263,20 @@ def validate(rho: DensityMatrix) -> StateReport:
     return StateReport(herm, tr, float(w.min()), ok)
 
 
+def require_state(rho: DensityMatrix) -> DensityMatrix:
+    """``rho``, once :func:`validate` passes it. Raises
+    :class:`~qlocc.errors.NotAState`, naming each invariant's violation,
+    when it does not."""
+    rep = validate(rho)
+    if not rep.ok:
+        raise NotAState(
+            "matrix fails state invariants: "
+            f"hermiticity {rep.hermiticity_error:.2e}, trace {rep.trace_error:.2e}, "
+            f"min eigenvalue {rep.min_eigenvalue:.2e}"
+        )
+    return rho
+
+
 # --- JSON forms: complex entries as [re, im] pairs ---
 
 def _c2pair(z: complex) -> list[float]:
@@ -266,15 +293,7 @@ def density_matrix_from_dict(d: dict) -> DensityMatrix:
         m = np.array([[complex(c[0], c[1]) for c in row] for row in rows])
     except (KeyError, TypeError, IndexError, ValueError) as exc:
         raise DomainError(f"malformed density-matrix JSON: {exc}") from exc
-    rho = DensityMatrix(m)
-    rep = validate(rho)
-    if not rep.ok:
-        raise NotAState(
-            "matrix fails state invariants: "
-            f"hermiticity {rep.hermiticity_error:.2e}, trace {rep.trace_error:.2e}, "
-            f"min eigenvalue {rep.min_eigenvalue:.2e}"
-        )
-    return rho
+    return require_state(DensityMatrix(m))
 
 
 def pauli_rep_to_dict(rep: PauliRep) -> dict:

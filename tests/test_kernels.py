@@ -6,6 +6,7 @@ import ast
 import glob
 import os
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -106,6 +107,25 @@ def test_threaded_batch_raises_worker_errors(rng, monkeypatch, svd_fails_on_stac
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
     with pytest.raises(ConvergenceFailure, match="did not converge"):
         _kernels.filter_gain_batch(rho, 0.1, *_random_batch(rng, 2 * _kernels.CHUNK))
+
+
+def test_worker_error_returns_its_workspace(rng, monkeypatch, svd_fails_on_stacks):
+    # as in test_threaded_batch_raises_worker_errors: every workspace a
+    # failing chunk took is back on the free list, once, and a failing
+    # gradient call leaves its thread holding no scratch
+    monkeypatch.setattr(_kernels, "_workspaces", [])
+    taken, take = [], _kernels._take
+    monkeypatch.setattr(_kernels, "_take", lambda k: taken.append(take(k)) or taken[-1])
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
+    rho = random_density_matrix(rng).mat
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        _kernels.filter_gain_batch(rho, 0.1, *_random_batch(rng, 2 * _kernels.CHUNK))
+    free = [id(ws) for ws in _kernels._workspaces]
+    assert taken and sorted(free) == sorted({id(ws) for ws in taken})
+    with pytest.raises(ConvergenceFailure, match="did not converge"):
+        _kernels.filter_gain_gradient(_kernels.state_root(rho), 0.1, *_random_batch(rng, 6))
+    assert getattr(_kernels._held, "scratch", None) is None
+    assert len(_kernels._workspaces) == len(free)
 
 
 def _svd_rows(monkeypatch):
@@ -431,6 +451,79 @@ def test_lapack_chunk_equals_one_point_calls(case, rng):
         inside = [i for i in points if i < length]
         assert np.array_equal(gains[inside], alone[: len(inside), 0])
         assert np.array_equal(ts[inside], alone[: len(inside), 1])
+
+
+def _reuse_batches(rng):
+    """The batches of the workspace reuse test, as (rho, (a, n, b, m),
+    via_lapack): a full chunk, 17 points, a batch of which a pair of |d>
+    projectors filters every tenth point out, a batch whose points all go
+    to LAPACK, and two chunks, the second of 17 points."""
+    full_rank = random_density_matrix(rng).mat
+    cut = _random_batch(rng, 300)
+    for col, value in zip(cut, (1.0, [0.0, 0.0, -1.0], 1.0, [0.0, 0.0, -1.0])):
+        col[::10] = value
+    return [
+        (full_rank, _random_batch(rng, _kernels.CHUNK), False),
+        (states.make_werner(0.8).mat, _random_batch(rng, 17), False),
+        (COLUMN_NORM_BASE_CASES["singlet-uu"](rng), cut, False),
+        (random_density_matrix(rng).mat, _random_batch(rng, 200), True),
+        (full_rank, _random_batch(rng, _kernels.CHUNK + 17), False),
+    ]
+
+
+def _reuse_bits(rho, params, via_lapack, monkeypatch):
+    """A batch's gains and t as one uint64 array; ``via_lapack`` scores it on
+    state_root's root, whose taus of a random full-rank state are not
+    column-orthogonal (the state of svd_fails_on_stacks, without the
+    failure), and checks that every point went to LAPACK."""
+    with monkeypatch.context() as patch:
+        if via_lapack:
+            patch.setattr(_kernels, "gain_root", _kernels.state_root)
+            rows = _svd_rows(patch)
+        gains, t = _kernels.filter_gain_batch(rho, 0.3, *params)
+    if via_lapack:
+        assert sum(count for count, _ in rows) == len(gains)
+    return np.concatenate([gains, t]).view(np.uint64)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_reused_workspaces_keep_every_bit(cpus, rng, monkeypatch):
+    # the batches scored in sequence, the first again last, each on the
+    # workspaces the ones before it left, filled with NaN in between: each
+    # has the bits it has on new workspaces, so no stage reads an entry it
+    # did not write. At most one workspace per worker stays.
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
+    batches = _reuse_batches(rng)
+    batches.append(batches[0])
+    fresh = []
+    for batch in batches:
+        monkeypatch.setattr(_kernels, "_workspaces", [])
+        fresh.append(_reuse_bits(*batch, monkeypatch))
+    assert np.isneginf(fresh[2][:300:10].view(float)).all()
+    monkeypatch.setattr(_kernels, "_workspaces", [])
+    for batch, expected in zip(batches, fresh):
+        for buf in (buf for ws in _kernels._workspaces for buf in ws):
+            buf.fill(np.nan)
+        assert np.array_equal(_reuse_bits(*batch, monkeypatch), expected)
+    assert 1 <= len(_kernels._workspaces) <= cpus
+
+
+def test_warm_batch_allocates_nothing_per_chunk(rng, monkeypatch):
+    # once its workspace exists, a batch allocates nothing that grows with
+    # a chunk: a warm 19,729-point batch (the size of a Bell-diagonal
+    # certificate's table) on one worker peaks below 1 MB, its 316 kB of
+    # results included, where a chunk's intermediates alone take 3.1 MB
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 1)
+    rho = random_density_matrix(rng).mat
+    params = _random_batch(rng, 19_729)
+    _kernels.filter_gain_batch(rho, 0.3, *params)
+    tracemalloc.start()
+    try:
+        _kernels.filter_gain_batch(rho, 0.3, *params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_threaded_certificate_is_identical_to_one_worker(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 
 from qlocc import _kernels, nogo, states
 from qlocc.entanglement import concurrence, entanglement_of_formation
-from qlocc.errors import DomainError, NotEntangled
+from qlocc.errors import DomainError, NotAState, NotEntangled
 from qlocc.locc import LocalFilter, LocalOperation, apply_local_pair, normal_form
 from qlocc.nogo import (
     _ALPHAS,
@@ -335,6 +335,25 @@ def test_search_finds_gain_when_one_exists():
     )
     assert abs((concurrence(out.state) - cert.concurrence_in) - cert.best_gain) < 1e-9
     assert abs(out.probability - cert.probability) < 1e-12
+
+
+def _non_states():
+    """A trace-2 matrix, and a unit-trace one that is not Hermitian."""
+    skew = make_werner(0.8).mat.copy()
+    skew[0, 1] += 0.05
+    return [2.0 * make_werner(0.8).mat, skew]
+
+
+@pytest.mark.parametrize("mat", _non_states(), ids=["trace-2", "non-hermitian"])
+def test_search_and_normal_form_refuse_a_non_state(mat):
+    # each entry validates its input once and names the failed invariants;
+    # unchecked, 2 W(0.8) reads a capped concurrence of 1, and the normal
+    # form of the non-Hermitian input runs out its iterations
+    rho = DensityMatrix(mat)
+    with pytest.raises(NotAState, match="state invariants"):
+        maximize_concurrence_gain(rho, SearchConfig(restarts=64, grid_density=2, local_steps=5))
+    with pytest.raises(NotAState, match="state invariants"):
+        normal_form(rho)
 
 
 def _power_states(seed, count):

@@ -1,4 +1,6 @@
+import copy
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -202,6 +204,24 @@ def test_pauli_rep_rejects_a_non_finite_coefficient(part, bad):
     coeffs[part].flat[-1] = bad
     with pytest.raises(DomainError, match="finite"):
         PauliRep(**coeffs)
+
+
+def test_pauli_rep_holds_read_only_copies():
+    # a write to the given arrays does not reach the record, the record's
+    # parts refuse writes, and copies and pickles are rebuilt read-only
+    alpha, beta, corr = np.array([0.1, 0.2, 0.3]), np.array([0.0, -0.1, 0.0]), -0.2 * np.eye(3)
+    rep = PauliRep(alpha, beta, corr)
+    alpha[0], beta[1], corr[0, 0] = 0.5, 0.5, 0.5
+    assert (rep.alpha[0], rep.beta[1], rep.R[0, 0]) == (0.1, -0.1, -0.2)
+    for part in (rep.alpha, rep.beta, rep.R):
+        assert not part.flags.writeable
+        with pytest.raises(ValueError):
+            part[0] = 0.0
+    for copied in (copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
+        for name in ("alpha", "beta", "R"):
+            part = getattr(copied, name)
+            assert not part.flags.writeable
+            assert part.tobytes() == getattr(rep, name).tobytes()
 
 
 def test_one_infinite_entry_is_not_a_state():
