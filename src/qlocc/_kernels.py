@@ -16,8 +16,9 @@ Every route shares one tau and one clamp policy
 tau, so that every filtered tau is column-orthogonal up to rounding. Both
 gain entries run one chunk body (``_gain_chunk``), so a filter pair has the
 same gain bits from either: ``filter_gain_batch``, which scores the
-search's candidate table in chunks over a thread pool (a ``fill`` hook
-lets the search draw each chunk's random rows on its worker), and
+search's candidate rows in chunks over a thread pool (a ``fill`` hook lets
+the search write each chunk's rows on its worker, and ``top`` keeps only
+each chunk's best rows, so no table of them is held), and
 ``filter_gain_gradient``, the refinement's, with exact gradients. A
 point's singular values, and the gradient's singular vectors, come from the
 norms and directions of tau's columns wherever a per-point test shows them
@@ -26,15 +27,17 @@ call per chunk.
 
 The chunk body allocates nothing that grows with the chunk: it writes every
 chunk-sized intermediate into a workspace of three flat complex buffers, 16
-entries per point each (768 bytes a point, 3.1 MB at ``CHUNK``), which its
-stages share. Workspaces stay on a module-level free list (``_workspaces``).
-A chunk takes one, grows it if it is shorter than the chunk, and gives it
-back when done, so the list holds one workspace per chunk that ever ran at
-the same time: for one calling thread, one per worker of the largest pool,
-at most one per usable CPU. The pool's threads end with each call; only the
-buffers stay. With fresh temporaries, glibc gave each chunk's 3.9 MB back to
-the system and the next chunk faulted it in again: about 3,500 minor page
-faults per Bell-diagonal certificate of about 19,700 filter pairs, where the
+entries per point each, which its stages share, and the batch writes a
+chunk's rows and their gains and t into a fourth, real one of 10 entries
+per point (848 bytes a point in all, 3.5 MB at ``CHUNK``). Workspaces stay
+on a module-level free list (``_workspaces``). A chunk takes one, grows it
+if it is shorter than the chunk, and gives it back when done, so the list
+holds one workspace per chunk that ever ran at the same time: for one
+calling thread, one per worker of the largest pool, at most one per usable
+CPU. The pool's threads end with each call; only the buffers stay. With
+fresh temporaries, glibc gave each chunk's 3.9 MB back to the system and
+the next chunk faulted it in again: about 3,500 minor page faults per
+Bell-diagonal certificate of about 19,700 filter pairs, where the
 workspaces take about 400.
 """
 
@@ -71,7 +74,7 @@ _YY_SIGNS = np.array([-1.0, 1.0, 1.0, -1.0])[:, None]
 # the signs of l1 - l2 - l3 - l4
 _CONC_SIGNS = np.array([1.0, -1.0, -1.0, -1.0])
 # filter_gain_batch evaluates its points in chunks of this many, so a
-# chunk's workspace stays at 3.1 MB; every chunk length takes the same
+# chunk's workspace stays at 3.5 MB; every chunk length takes the same
 # route, so a point's bits do not depend on its chunk
 CHUNK = 4096
 # tau_singular_values takes a point's column norms as its singular values
@@ -389,16 +392,25 @@ def _tau(z, m, tau):
 
 
 def _take(k):
-    """A workspace for ``k`` points, three flat complex buffers of 16 entries
-    per point: the one last given back to the free list, or a new one if
-    the list is empty or that one is shorter (it is then dropped)."""
+    """A workspace for ``k`` points: three flat complex buffers of 16 entries
+    per point, for :func:`_gain_chunk`, and a flat float buffer of 10, for
+    the batch runner's rows and their gains and t. It is the one last given
+    back to the free list, or a new one if the list is empty or that one is
+    shorter (it is then dropped)."""
     try:
         ws = _workspaces.pop()
     except IndexError:
         ws = None
     if ws is None or len(ws[0]) < 16 * k:
-        ws = [np.empty(16 * k, dtype=np.complex128) for _ in range(3)]
+        ws = [np.empty(16 * k, dtype=np.complex128) for _ in range(3)] + [np.empty(10 * k)]
     return ws
+
+
+def _give(ws):
+    """Gives a workspace back to the free list; the thread then holds no
+    scratch."""
+    _held.scratch = None
+    _workspaces.append(ws)
 
 
 def _usable_cpus():
@@ -409,10 +421,12 @@ def _usable_cpus():
         return os.cpu_count() or 1
 
 
-def _gain_chunk(x, c_in, a, n, b, m, gains, t, grad=None):
+def _gain_chunk(ws, x, c_in, a, n, b, m, gains, t, grad=None):
     """The one body of both gain entries: writes the gains and t of the
     filter pairs (a, n, b, m) into ``gains`` and ``t``, and with ``grad``
-    their (N, 6) gradients, derived in :func:`filter_gain_gradient`.
+    their (N, 6) gradients, derived in :func:`filter_gain_gradient`. It
+    computes in the workspace ``ws`` (:func:`_take`), which the caller
+    takes and gives back.
 
     Points are held batch-last. Both filters are built elementwise as
     (2, 2, N) stacks, the filtered root (A x B) X as (1 x B) then (A x 1)
@@ -431,59 +445,68 @@ def _gain_chunk(x, c_in, a, n, b, m, gains, t, grad=None):
     # yb, and M into the other one (spare), where tau_singular_values then
     # works; tau goes into wb, and once it is solved, the spectra over t.
     size = len(a)
-    ws = _take(size)
-    try:
-        yb, zb, wb = (buf[: 16 * size] for buf in ws)
-        fa, fb = wb[: 8 * size].reshape(2, 2, 2, size)
-        _filters(a, n, fa, yb.view(np.float64))
-        _filters(b, m, fb, yb.view(np.float64))
-        _filtered_roots(x, fa, fb, zb.reshape(2, 2, 4, size), yb.reshape(2, 2, 4, size),
-                        wb[8 * size :].reshape(2, 4, size))
-        z = zb.reshape(4, 4, size)
-        t[:] = _squared_norms(z, yb.view(np.float64))
-        gains[:] = -np.inf
-        ok = t > TOL_PROB
-        if not ok.any():
-            return
-        if grad is not None:
-            # copies: tau is written over the filters
-            fa, fb = fa[:, :, ok], fb[:, :, ok]
-        tk = t[ok]
-        kept = len(tk)
-        if kept == size:
-            spare = yb
-        else:
-            z, spare = np.compress(ok, z, axis=2, out=yb[: 16 * kept].reshape(4, 4, kept)), zb
-        tau = _tau(z, spare[: 16 * kept].reshape(4, 4, kept), wb[: 16 * kept].reshape(4, 4, kept))
-        _held.scratch = spare.view(np.float64)
-        if grad is None:
-            sv = tau_singular_values(tau, tk)
-        else:
-            sv, q = tau_singular_values(tau, tk, differential=True)
-        c = concurrence_from_lambdas(np.divide(sv, tk[:, None],
-                                               out=wb.view(np.float64)[: 4 * kept].reshape(kept, 4)))
-        gains[ok] = c - c_in
-        if grad is None:
-            return
-        cnum = sv[:, 0] - sv[:, 1] - sv[:, 2] - sv[:, 3]
-        zf, q = z.transpose(2, 0, 1), q.transpose(2, 0, 1)
-        # P + P^T = conj(Q + Q^T), and Z^T S = (S Z)^T
-        r = (q + q.swapaxes(1, 2)).conj() @ (_YY_SIGNS * zf[:, ::-1]).swapaxes(1, 2)
-        r /= tk[:, None, None]
-        r -= (2.0 * cnum / tk**2)[:, None, None] * zf.conj().swapaxes(1, 2)
-        k = (x.reshape(4, 4) @ r).reshape(-1, 2, 2, 2, 2)  # K[(a b), (a' b')]
-        g = np.concatenate([
-            np.einsum("nabcd,dbn,kca->nk", k, fb, PAULI).real / (1.0 + a[ok])[:, None],
-            np.einsum("nabcd,can,kdb->nk", k, fa, PAULI).real / (1.0 + b[ok])[:, None],
-        ], axis=1)
-        g[(c <= 0.0) | (c >= 1.0)] = 0.0
-        grad[ok] = g
-    finally:
-        _held.scratch = None
-        _workspaces.append(ws)
+    yb, zb, wb = (buf[: 16 * size] for buf in ws[:3])
+    fa, fb = wb[: 8 * size].reshape(2, 2, 2, size)
+    _filters(a, n, fa, yb.view(np.float64))
+    _filters(b, m, fb, yb.view(np.float64))
+    _filtered_roots(x, fa, fb, zb.reshape(2, 2, 4, size), yb.reshape(2, 2, 4, size),
+                    wb[8 * size :].reshape(2, 4, size))
+    z = zb.reshape(4, 4, size)
+    t[:] = _squared_norms(z, yb.view(np.float64))
+    gains[:] = -np.inf
+    ok = t > TOL_PROB
+    if not ok.any():
+        return
+    if grad is not None:
+        # copies: tau is written over the filters
+        fa, fb = fa[:, :, ok], fb[:, :, ok]
+    tk = t[ok]
+    kept = len(tk)
+    if kept == size:
+        spare = yb
+    else:
+        z, spare = np.compress(ok, z, axis=2, out=yb[: 16 * kept].reshape(4, 4, kept)), zb
+    tau = _tau(z, spare[: 16 * kept].reshape(4, 4, kept), wb[: 16 * kept].reshape(4, 4, kept))
+    _held.scratch = spare.view(np.float64)
+    if grad is None:
+        sv = tau_singular_values(tau, tk)
+    else:
+        sv, q = tau_singular_values(tau, tk, differential=True)
+    c = concurrence_from_lambdas(np.divide(sv, tk[:, None],
+                                           out=wb.view(np.float64)[: 4 * kept].reshape(kept, 4)))
+    gains[ok] = c - c_in
+    if grad is None:
+        return
+    cnum = sv[:, 0] - sv[:, 1] - sv[:, 2] - sv[:, 3]
+    zf, q = z.transpose(2, 0, 1), q.transpose(2, 0, 1)
+    # P + P^T = conj(Q + Q^T), and Z^T S = (S Z)^T
+    r = (q + q.swapaxes(1, 2)).conj() @ (_YY_SIGNS * zf[:, ::-1]).swapaxes(1, 2)
+    r /= tk[:, None, None]
+    r -= (2.0 * cnum / tk**2)[:, None, None] * zf.conj().swapaxes(1, 2)
+    k = (x.reshape(4, 4) @ r).reshape(-1, 2, 2, 2, 2)  # K[(a b), (a' b')]
+    g = np.concatenate([
+        np.einsum("nabcd,dbn,kca->nk", k, fb, PAULI).real / (1.0 + a[ok])[:, None],
+        np.einsum("nabcd,can,kdb->nk", k, fa, PAULI).real / (1.0 + b[ok])[:, None],
+    ], axis=1)
+    g[(c <= 0.0) | (c >= 1.0)] = 0.0
+    grad[ok] = g
 
 
-def filter_gain_batch(rho, c_in, a, n, b, m, *, fill=None):
+def _top_indices(g, k):
+    """``np.argsort(-g, kind="stable")[:k]`` without sorting all of ``g``.
+
+    The k-th largest value comes from ``np.partition``; only the entries at
+    or above it are sorted, stably by descending value, so ties keep index
+    order. ``g`` holds no NaN (the kernel's gains are finite or -inf).
+    """
+    if len(g) > k:
+        cand = np.flatnonzero(g >= np.partition(g, len(g) - k)[len(g) - k])
+    else:
+        cand = np.arange(len(g))
+    return cand[np.argsort(-g[cand], kind="stable")[:k]]
+
+
+def filter_gain_batch(rho, c_in, a, n, b, m, *, fill=None, top=None):
     """Concurrence gain and success probability for a batch of filter pairs.
 
     ``a`` and ``b`` hold N strengths, ``n`` and ``m`` N axes as (N, 3)
@@ -494,7 +517,7 @@ def filter_gain_batch(rho, c_in, a, n, b, m, *, fill=None):
     probability falls at or below ``TOL_PROB`` get gain -inf (the branch
     filters out).
 
-    The entry that scores the search's candidate table, grid and random
+    The entry that scores the search's candidate rows, grid and random
     draws in one call; the refinement uses
     :func:`filter_gain_gradient`. X is :func:`gain_root`'s root, computed
     once per call. The points are evaluated by :func:`_gain_chunk` in
@@ -503,15 +526,26 @@ def filter_gain_batch(rho, c_in, a, n, b, m, *, fill=None):
     numpy's kernels release the GIL, so the chunks run in parallel. Each
     point's result is the same whichever chunk or thread evaluates it, and
     whichever workspace of the free list the chunk computes in (see the
-    module docstring): once those exist, a batch allocates its results and
-    nothing that grows with a chunk.
+    module docstring).
 
-    ``fill``, if given, is called as ``fill(lo, a, n, b, m)`` on the worker
-    just before a chunk is scored, with ``lo`` the chunk's first row and
-    views of its rows; it may write the rows in place. Float64 arrays of
-    the checked shapes pass through unconverted, so the views are the
-    caller's own arrays and what ``fill`` writes stays in them. The search
-    uses it to draw its random rows chunk by chunk on the pool.
+    ``fill``, if given, writes each chunk's rows: it is called as
+    ``fill(lo, a, n, b, m)`` on the worker, with ``lo`` the chunk's first
+    row and the chunk's rows in the worker's workspace, unwritten, and must
+    write every row. The chunk is scored on what it writes; ``a``, ``n``,
+    ``b`` and ``m`` then only give the batch's length and are not read, so
+    zero-stride arrays (``np.broadcast_to``) serve. The search writes its
+    rows that way, so no table of them is ever held.
+
+    Returns the N gains and t. With ``top``, it returns instead the ``top``
+    best rows (all N if fewer), ranked by gain, descending, ties going to
+    the lower row: their gains, t and parameters (a, n, b, m).
+    Each worker keeps its chunk's ``top`` best rows in that order, and the
+    call ranks the chunks' bests, concatenated in chunk order, stably by
+    gain. A row among the batch's ``top`` best is among its own chunk's,
+    and equal gains stand in row order, so the result is the batch's
+    ``np.argsort(-gains, kind="stable")[:top]``. Such a batch holds no
+    array that grows with N: once the workspaces exist, each chunk leaves
+    only its ``top`` best rows.
     """
     a = np.atleast_1d(np.asarray(a, dtype=float))
     b = np.atleast_1d(np.asarray(b, dtype=float))
@@ -522,20 +556,36 @@ def filter_gain_batch(rho, c_in, a, n, b, m, *, fill=None):
     if n.shape[1:] != (3,) or m.shape[1:] != (3,):
         raise ValueError("axis arrays must have shape (N, 3)")
     x = gain_root(rho).reshape(2, 2, 4)
-    gains = np.empty(len(a))
-    t = np.empty(len(a))
+    if top is None:
+        gains, t = np.empty(len(a)), np.empty(len(a))
 
     def run(lo):
-        s = slice(lo, lo + CHUNK)
-        if fill is not None:
-            fill(lo, a[s], n[s], b[s], m[s])
-        _gain_chunk(x, c_in, a[s], n[s], b[s], m[s], gains[s], t[s])
+        k = min(CHUNK, len(a) - lo)
+        ws = _take(k)
+        try:
+            # the workspace's rows (a, n, b, m), then their gains and t
+            r = ws[3]
+            if fill is None:
+                chunk = [col[lo : lo + k] for col in (a, n, b, m)]
+            else:
+                chunk = [r[:k], r[k : 4 * k].reshape(k, 3),
+                         r[4 * k : 5 * k], r[5 * k : 8 * k].reshape(k, 3)]
+                fill(lo, *chunk)
+            if top is None:
+                scores = gains[lo : lo + k], t[lo : lo + k]
+            else:
+                scores = r[8 * k : 9 * k], r[9 * k : 10 * k]
+            _gain_chunk(ws, x, c_in, *chunk, *scores)
+            if top is not None:
+                best = _top_indices(scores[0], top)
+                return [col[best] for col in (*scores, *chunk)]
+        finally:
+            _give(ws)
 
     starts = range(0, len(a), CHUNK)
     workers = min(_usable_cpus(), len(starts))
     if workers < 2:
-        for lo in starts:
-            run(lo)
+        bests = [run(lo) for lo in starts]
     else:
         # imported here, not at module level: it would add about 8 ms to
         # every import qlocc. The pool's threads end with the call; the
@@ -543,8 +593,12 @@ def filter_gain_batch(rho, c_in, a, n, b, m, *, fill=None):
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(workers) as pool:
-            list(pool.map(run, starts))
-    return gains, t
+            bests = list(pool.map(run, starts))
+    if top is None:
+        return gains, t
+    gains, t, *params = (np.concatenate(cols) for cols in zip(*bests))
+    best = _top_indices(gains, top)
+    return gains[best], t[best], tuple(col[best] for col in params)
 
 
 def filter_gain_gradient(x, c_in, a, n, b, m):
@@ -576,7 +630,11 @@ def filter_gain_gradient(x, c_in, a, n, b, m):
     lie in Z's null space and contribute zero.
     """
     gains, t, grad = np.empty(len(a)), np.empty(len(a)), np.full((len(a), 6), np.nan)
-    _gain_chunk(x.reshape(2, 2, 4), c_in, a, n, b, m, gains, t, grad)
+    ws = _take(len(a))
+    try:
+        _gain_chunk(ws, x.reshape(2, 2, 4), c_in, a, n, b, m, gains, t, grad)
+    finally:
+        _give(ws)
     return gains, t, grad
 
 

@@ -2,10 +2,11 @@
 increase the entanglement of Werner or Bell-diagonal states.
 
 The search maximizes the concurrence gain over both parties' filter
-strengths and axes. One candidate table, a coarse grid followed by uniform
-random draws, is scored in one call of the batched kernel, whose workers
-draw the random rows chunk by chunk with the bits of one whole draw;
-lockstep quasi-Newton refinements then start from its best rows, one start
+strengths and axes. The candidate rows, a coarse grid followed by uniform
+random draws, are scored in one call of the batched kernel, whose workers
+write them chunk by chunk (the random ones with the bits of one whole
+draw) and keep only each chunk's best, so no table of them is held;
+lockstep quasi-Newton refinements then start from the best rows, one start
 per distinct filter pair among them. Each refinement
 step is one call of the gradient kernel on the trial points of every
 active start; it returns their gains with exact gradients in the Cartesian
@@ -68,9 +69,9 @@ _U_RANGE = 8.0  # random draws of the stretched strength coordinate
 _ALPHAS = 0.25 ** np.arange(5)
 _IMPROVE_TOL = 1e-15
 # The most points the grid's grid_density**6 (so grid_density <= 12) and the
-# random draws' restarts may each hold. The search's one candidate table
-# holds both, so up to 6,985,984 points: at that size a search of W(0.75)
-# peaked at 769 MB resident, under a 2 GB `ulimit -v` (2-CPU Xeon VM).
+# random draws' restarts may each hold, a usage limit: a search scores up to
+# 6,985,984 points. It holds no table of them, so at that size a search of
+# W(0.75) peaked at 50 MB resident, under a 2 GB `ulimit -v` (2-CPU Xeon VM).
 MAX_STAGE_POINTS = 4_000_000
 # the largest grid_density of scale_factor_grid: 200**3 points take about
 # 0.5 GB at its peak, again within a 2 GB `ulimit -v`
@@ -86,7 +87,7 @@ class SearchConfig:
     ``local_steps`` caps the iterations per quasi-Newton refinement. The
     three budgets must be positive integers (not bools), and neither
     ``restarts`` nor ``grid_density**6`` may exceed ``MAX_STAGE_POINTS``
-    (4,000,000), checked before the candidate table is allocated. All
+    (4,000,000), checked before the search starts. All
     randomness flows from ``seed``, a non-negative integer (not a bool).
     ``tolerance`` must be a positive, finite real number (not a bool).
     The fields hold the checked values as a Python int and float.
@@ -139,8 +140,9 @@ class Certificate:
 
 def _axes(z, phi, out):
     """Writes into ``out`` the unit vectors with z-component ``z`` and
-    azimuth ``phi``, and returns it. The random draws' axes go straight into
-    the candidate table, which keeps the search's peak memory down."""
+    azimuth ``phi``, and returns it. The candidate rows' axes go straight
+    into the rows the kernel's workers score, which keeps the search's
+    memory down."""
     out[..., 2] = z
     r = np.sqrt(1.0 - z * z)
     np.multiply(r, np.cos(phi), out=out[..., 0])
@@ -148,25 +150,21 @@ def _axes(z, phi, out):
     return out
 
 
-def _empty_table(size: int):
-    """An unfilled candidate table (a, n, b, m) of ``size`` filter pairs."""
-    return np.empty(size), np.empty((size, 3)), np.empty(size), np.empty((size, 3))
-
-
-def _grid_params(g: int, a, n, b, m):
-    """Writes the coarse grid of filter pairs into the table (a, n, b, m) of
-    g**6 rows; the grid includes a = b = 0.
+def _grid_params(g: int, lo: int, a, n, b, m):
+    """Writes rows ``lo``, ``lo + 1``, ... of the coarse grid of g**6 filter
+    pairs into (a, n, b, m), one row per entry of ``a``; the grid includes
+    a = b = 0.
 
     Each party's g*g axes (g polar angles in [0, pi], g azimuths) are
-    built once as a table; the grid is every combination of strength and
-    axis for both parties, duplicate filter pairs included. Its index
-    arrays are freed on return.
+    built as a table; the grid is every combination of strength and axis
+    for both parties, duplicate filter pairs included, and a row's entries
+    follow from its index alone.
     """
     a_vals = np.linspace(0.0, 0.96, g)
     z, phi = np.meshgrid(np.cos(np.linspace(0.0, math.pi, g)),
                          np.linspace(0.0, 2.0 * math.pi, g, endpoint=False), indexing="ij")
     axes = _axes(z, phi, np.empty((g, g, 3))).reshape(-1, 3)
-    ia, jn, ib, jm = np.unravel_index(np.arange(g**6), (g, g * g, g, g * g))
+    ia, jn, ib, jm = np.unravel_index(np.arange(lo, lo + len(a)), (g, g * g, g, g * g))
     np.take(a_vals, ia, out=a)
     np.take(axes, jn, axis=0, out=n)
     np.take(a_vals, ib, out=b)
@@ -174,7 +172,7 @@ def _grid_params(g: int, a, n, b, m):
 
 
 def _random_params(rng: np.random.Generator, a, n, b, m):
-    """Writes uniform draws into the table (a, n, b, m), one row per draw:
+    """Writes uniform draws into the rows (a, n, b, m), one row per draw:
     logistic strengths of a uniform stretched coordinate in
     [-_U_RANGE, _U_RANGE], area-uniform axes.
 
@@ -189,20 +187,6 @@ def _random_params(rng: np.random.Generator, a, n, b, m):
     b[:] = 1.0 / (1.0 + np.exp(-(2.0 * u[:, 3] - 1.0) * _U_RANGE))
     _axes(1.0 - 2.0 * u[:, 1], 2.0 * math.pi * u[:, 2], n)
     _axes(1.0 - 2.0 * u[:, 4], 2.0 * math.pi * u[:, 5], m)
-
-
-def _top_indices(g, k):
-    """``np.argsort(-g, kind="stable")[:k]`` without sorting all of ``g``.
-
-    The k-th largest value comes from ``np.partition``; only the entries at
-    or above it are sorted, stably by descending value, so ties keep index
-    order. ``g`` holds no NaN (the kernel's gains are finite or -inf).
-    """
-    if len(g) > k:
-        cand = np.flatnonzero(g >= np.partition(g, len(g) - k)[len(g) - k])
-    else:
-        cand = np.arange(len(g))
-    return cand[np.argsort(-g[cand], kind="stable")[:k]]
 
 
 class _Refinement(NamedTuple):
@@ -305,29 +289,30 @@ def _chart(x):
 def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certificate:
     """Search filter pairs for a concurrence increase; certify the maximum.
 
-    One budget, all counted in ``evaluations``, covers one candidate table
-    and the refinements that start from its best rows. The table holds a
+    One budget, all counted in ``evaluations``, covers the candidate rows
+    and the refinements that start from the best of them. The rows are a
     coarse grid (``grid_density`` points per parameter, its
     ``grid_density**6`` rows first) and then ``restarts`` uniform random
-    draws, and one :func:`~qlocc._kernels.filter_gain_batch` call scores it.
-    The grid is built first; the random rows are drawn inside that call,
-    each chunk's rows by its worker (the ``fill`` hook), with the bits of
-    one ``default_rng(seed).random((restarts, 6))`` draw.
-    The refinements start from the table's ``_REFINE_TOP`` (6) best rows,
-    one per distinct chart point, the first in gain order: the grid's
-    strength-0 rows are one identity filter for every axis, so a Werner
-    state's six best rows make one start. They run at most
-    ``local_steps`` iterations each, in each party's chart point u with
-    filter vector v = u / sqrt(1 + |u|^2): regular at the identity filter
-    u = 0, and reaching strengths near 1 as |u| grows. The root of rho that the
-    refinement's kernel calls share (:func:`~qlocc._kernels.gain_root`) is
-    computed once per search, and the input concurrence comes from the
-    state's one spectrum (``DensityMatrix.lambdas``). The objective
-    is the directly computed concurrence of the filtered state minus the
-    input concurrence; no transformation-law shortcut is used, so the
-    certificate is independent of the law it corroborates. The best point
-    is the table's first largest gain, or the refinements' best end point
-    where that gain is larger.
+    draws, and one :func:`~qlocc._kernels.filter_gain_batch` call scores
+    them with no table of them held: each chunk's worker writes its rows
+    (the ``fill`` hook), the grid's from their row index and the random
+    ones with the bits of one ``default_rng(seed).random((restarts, 6))``
+    draw, and keeps its ``_REFINE_TOP`` (6) best (``top``). The call
+    returns the best rows of all, ranked by gain with ties to the lower
+    row. The refinements start from them, one per distinct chart point,
+    the first in gain order: the grid's strength-0 rows are one identity
+    filter for every axis, so a Werner state's six best rows make one
+    start. They run at most ``local_steps`` iterations each, in each
+    party's chart point u with filter vector v = u / sqrt(1 + |u|^2):
+    regular at the identity filter u = 0, and reaching strengths near 1 as
+    |u| grows. The root of rho that the refinement's kernel calls share
+    (:func:`~qlocc._kernels.gain_root`) is computed once per search, and
+    the input concurrence comes from the state's one spectrum
+    (``DensityMatrix.lambdas``). The objective is the directly computed
+    concurrence of the filtered state minus the input concurrence; no
+    transformation-law shortcut is used, so the certificate is independent
+    of the law it corroborates. The best point is the first best row, or
+    the refinements' best end point where that gain is larger.
 
     Deterministic: identical config (including seed) yields an identical
     certificate. Raises :class:`~qlocc.errors.NotAState` when the input
@@ -339,26 +324,30 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     if c_in <= 0.0:
         raise NotEntangled("input state has zero concurrence; nothing to gain or lose")
     grid_size = cfg.grid_density**6
-    table = _empty_table(grid_size + cfg.restarts)
-    _grid_params(cfg.grid_density, *(col[:grid_size] for col in table))
 
-    def draw(lo, *chunk):
-        # the chunk's draw rows, from a generator in default_rng(seed)'s
-        # start state moved past the rows before them: a double takes one
+    def rows(lo, *chunk):
+        # the chunk's rows, written on its worker: the grid's from their row
+        # index, then the draws', from a generator in default_rng(seed)'s
+        # start state moved past the draws before them: a double takes one
         # 64-bit output, a row six
-        k = max(grid_size - lo, 0)
+        k = min(max(grid_size - lo, 0), len(chunk[0]))
+        if k:
+            _grid_params(cfg.grid_density, lo, *(col[:k] for col in chunk))
         if k < len(chunk[0]):
             bits = np.random.PCG64(cfg.seed)
             bits.advance(6 * (lo + k - grid_size))
             _random_params(np.random.Generator(bits), *(col[k:] for col in chunk))
 
-    gains, t = _kernels.filter_gain_batch(rho.mat, c_in, *table, fill=draw)
+    # zero-stride stand-ins give the batch its length; the workers write
+    # the rows, and only the best _REFINE_TOP come back
+    size = grid_size + cfg.restarts
+    a, n = np.broadcast_to(0.0, (size,)), np.broadcast_to(0.0, (size, 3))
+    gains, t, top = _kernels.filter_gain_batch(rho.mat, c_in, a, n, a, n,
+                                               fill=rows, top=_REFINE_TOP)
 
-    # refinement seeds: the table's best rows, gathered as chart points
-    # u = v / sqrt(1 - |v|^2)
-    top = _top_indices(gains, _REFINE_TOP)
-    u0 = np.concatenate([s[top, None] * v[top] / np.sqrt(1.0 - s[top] ** 2)[:, None]
-                         for s, v in (table[:2], table[2:])], axis=1)
+    # refinement seeds: the best rows, as chart points u = v / sqrt(1 - |v|^2)
+    u0 = np.concatenate([s[:, None] * v / np.sqrt(1.0 - s**2)[:, None]
+                         for s, v in (top[:2], top[2:])], axis=1)
     # one start per distinct chart point, its first row in gain order
     # (+ 0.0 makes -0.0 equal to 0.0)
     u0 = u0[np.sort(np.unique(u0 + 0.0, axis=0, return_index=True)[1])]
@@ -378,11 +367,11 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
     # a point's bits do not depend on its batch, so its gains are -refinement.value
     end, _ = _chart(refinement.x)
     end_gains, end_t, _ = _kernels.filter_gain_gradient(root, c_in, *end)
-    # the best point: the table's first largest gain, unless an end point beats it
-    i, j = top[0], int(np.argmax(end_gains))
+    # the best point: the first best row, unless an end point beats it
+    i, j = 0, int(np.argmax(end_gains))
     if end_gains[j] > gains[i]:
-        table, t, gains, i = end, end_t, end_gains, j
-    a, n, b, m = table
+        top, t, gains, i = end, end_t, end_gains, j
+    a, n, b, m = top
     return Certificate(
         input_state=rho,
         config=cfg,
@@ -391,7 +380,7 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
         best_filter_a=LocalFilter(strength=a[i], axis=n[i], scale=1.0 / (1.0 + a[i])),
         best_filter_b=LocalFilter(strength=b[i], axis=m[i], scale=1.0 / (1.0 + b[i])),
         probability=float(t[i]),
-        evaluations=grid_size + cfg.restarts + int(refinement.evaluations.sum()),
+        evaluations=size + int(refinement.evaluations.sum()),
     )
 
 

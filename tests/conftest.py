@@ -130,6 +130,11 @@ def svd_fails_on_stacks(monkeypatch):
 
 # --- random generators: the draws of every seeded test ---
 
+def candidate_rows(size: int):
+    """Unwritten candidate rows (a, n, b, m) for ``size`` filter pairs."""
+    return np.empty(size), np.empty((size, 3)), np.empty(size), np.empty((size, 3))
+
+
 def random_density_matrix(rng: np.random.Generator) -> DensityMatrix:
     """Random full-rank state from the Hilbert-Schmidt ensemble."""
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

@@ -15,14 +15,15 @@ from qlocc import _kernels, states
 from qlocc.entanglement import concurrence
 from qlocc.errors import ConvergenceFailure, SpectrumError
 from qlocc.nogo import (
+    _REFINE_TOP,
     SearchConfig,
-    _empty_table,
     _random_params,
     certificate_to_dict,
     maximize_concurrence_gain,
 )
 
 from conftest import (
+    candidate_rows,
     random_density_matrix,
     random_entangled_bell_diagonal,
     random_filter,
@@ -98,6 +99,74 @@ def test_threaded_batch_is_identical_to_chunks_and_one_worker(rng, monkeypatch):
     gains1, ts1 = _kernels.filter_gain_batch(rho, c_in, a, n, b, m)
     assert np.array_equal(gains, gains1)
     assert np.array_equal(ts, ts1)
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_chunk_bests_merge_to_the_batch_best(cpus, rng, monkeypatch):
+    # each worker keeps its chunk's best rows and the call merges them. With
+    # chunks of 8 rows and stand-in gains: few distinct values, so ties fall
+    # within chunks and across their boundaries; -inf entries (filtered-out
+    # points), two whole chunks of them, and a batch of nothing else. The
+    # merged rows are the stable argsort's of the whole batch, each with its
+    # own gain, t and parameters; at _REFINE_TOP (6), the search's count
+    monkeypatch.setattr(_kernels, "CHUNK", 8)
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
+    size = 100
+
+    def fill(lo, a, n, b, m):
+        # a row's parameters carry its index
+        a[:] = np.arange(lo, lo + len(a))
+        n[:], b[:], m[:] = a[:, None], -a, -a[:, None]
+
+    def stand_in_gains(ws, x, c_in, a, n, b, m, gains, t):
+        gains[:], t[:] = g[a.astype(int)], ts[a.astype(int)]
+
+    monkeypatch.setattr(_kernels, "_gain_chunk", stand_in_gains)
+    rho = states.make_werner(0.8).mat
+    rows_in = np.broadcast_to(0.0, (size,)), np.broadcast_to(0.0, (size, 3))
+    for trial in range(40):
+        g = rng.integers(-2, 3, size=size).astype(float)
+        g[rng.random(size) < 0.3] = -np.inf
+        g[32:48] = -np.inf
+        # four ties across the boundary at row 8 lead; two more, of the
+        # ties across the boundary at row 56, take the fifth and sixth place
+        g[6:10], g[54:60] = 3.0, 2.5
+        if trial == 0:
+            g[:] = -np.inf
+        ts = rng.random(size)
+        for top in (1, _REFINE_TOP, size):
+            gains, t, (a, n, b, m) = _kernels.filter_gain_batch(
+                rho, 0.0, *rows_in, *rows_in, fill=fill, top=top)
+            expected = np.argsort(-g, kind="stable")[:top]
+            assert np.array_equal(a, expected)
+            assert np.array_equal(gains, g[expected]) and np.array_equal(t, ts[expected])
+            assert np.array_equal(n, np.repeat(a[:, None], 3, 1))
+            assert np.array_equal(b, -a) and np.array_equal(m, -n)
+            if trial:
+                assert np.array_equal(a[:_REFINE_TOP], [6, 7, 8, 9, 54, 55][:top])
+
+
+def test_batch_best_rows_have_the_batch_bits(rng, monkeypatch):
+    # the kernel's own gains, about 2.5 chunks over three workers, with a
+    # short switch interval interleaving them often: the best rows of a
+    # batch with top are its full result's stable argsort, with the same
+    # bits
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 4)
+    rho = random_density_matrix(rng).mat
+    c_in = _kernels.concurrence4(rho)
+    params = _random_batch(rng, 10_000)
+    gains, ts = _kernels.filter_gain_batch(rho, c_in, *params)
+    best = np.argsort(-gains, kind="stable")[:_REFINE_TOP]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        top_gains, top_t, top_params = _kernels.filter_gain_batch(rho, c_in, *params,
+                                                                  top=_REFINE_TOP)
+    finally:
+        sys.setswitchinterval(interval)
+    assert np.array_equal(top_gains, gains[best]) and np.array_equal(top_t, ts[best])
+    for column, top_column in zip(params, top_params):
+        assert np.array_equal(top_column, column[best])
 
 
 def test_threaded_batch_raises_worker_errors(rng, monkeypatch, svd_fails_on_stacks):
@@ -276,7 +345,7 @@ def test_gain_root_chunks_rarely_fall_back(rng, monkeypatch):
     rows = _svd_rows(monkeypatch)
     rhos = [states.make_werner(0.8).mat] + [random_density_matrix(rng).mat for _ in range(3)]
     for rho in rhos:
-        draws = _empty_table(_kernels.CHUNK)
+        draws = candidate_rows(_kernels.CHUNK)
         _random_params(rng, *draws)
         gains, _ = _kernels.filter_gain_batch(rho, 0.0, *draws)
         assert np.isfinite(gains).all()

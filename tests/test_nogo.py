@@ -3,6 +3,8 @@ import math
 import os
 import subprocess
 import sys
+import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,6 @@ from qlocc.nogo import (
     _REFINE_TOP,
     SearchConfig,
     _quasi_newton,
-    _top_indices,
     certificate_to_dict,
     maximize_concurrence_gain,
     probability_floor,
@@ -35,6 +36,7 @@ from qlocc.states import (
 
 from conftest import (
     NOT_REAL_NUMBERS,
+    candidate_rows,
     probability_floor_sequence,
     random_density_matrix,
     random_entangled_bell_diagonal,
@@ -71,54 +73,109 @@ def test_certificate_counts_evaluations():
     assert cert.evaluations == SMALL.grid_density**6 + SMALL.restarts + 1 + len(_ALPHAS)
 
 
+def _scored_rows(monkeypatch):
+    """Records the search's batch calls, and by first row a copy of the rows
+    each of their chunks scores: the ``fill`` hook notes its chunk on its
+    worker, and the chunk body the rows it is given there."""
+    batches, chunks, worker = [], {}, threading.local()
+    batch, gain_chunk = _kernels.filter_gain_batch, _kernels._gain_chunk
+
+    def noted(rho, c_in, *rows, fill, **kwargs):
+        def fill_noted(lo, *chunk):
+            worker.lo = lo
+            fill(lo, *chunk)
+
+        batches.append(len(rows[0]))
+        return batch(rho, c_in, *rows, fill=fill_noted, **kwargs)
+
+    def recorded(ws, x, c_in, a, n, b, m, gains, t, grad=None):
+        if grad is None:
+            chunks[worker.lo] = [col.copy() for col in (a, n, b, m)]
+        return gain_chunk(ws, x, c_in, a, n, b, m, gains, t, grad)
+
+    monkeypatch.setattr(_kernels, "filter_gain_batch", noted)
+    monkeypatch.setattr(_kernels, "_gain_chunk", recorded)
+    return batches, chunks
+
+
+def _scored_table(chunks):
+    """The recorded chunks' rows, joined in row order."""
+    starts = sorted(chunks)
+    assert starts == list(range(0, len(starts) * _kernels.CHUNK, _kernels.CHUNK))
+    return [np.concatenate(cols) for cols in zip(*(chunks[lo] for lo in starts))]
+
+
 def test_search_scores_one_candidate_table(monkeypatch):
     # one batch call scores the grid's rows and then the draws; the batch
     # and the refinement prepare one root each
-    batches, roots = [], []
-    batch, gain_root = _kernels.filter_gain_batch, _kernels.gain_root
-    monkeypatch.setattr(_kernels, "filter_gain_batch",
-                        lambda rho, c_in, *table, **kwargs:
-                        batches.append(table) or batch(rho, c_in, *table, **kwargs))
+    batches, chunks = _scored_rows(monkeypatch)
+    roots, gain_root = [], _kernels.gain_root
     monkeypatch.setattr(_kernels, "gain_root", lambda rho: roots.append(rho) or gain_root(rho))
     maximize_concurrence_gain(make_werner(0.8), SMALL)
-    assert len(batches) == 1 and len(roots) == 2
     grid_size = SMALL.grid_density**6
-    a, n, b, m = batches[0]
+    assert batches == [grid_size + SMALL.restarts] and len(roots) == 2
+    table = _scored_table(chunks)
+    a, n, b, m = table
     assert len(a) == len(n) == len(b) == len(m) == grid_size + SMALL.restarts
     strengths = np.linspace(0.0, 0.96, SMALL.grid_density)
     assert np.isin(a[:grid_size], strengths).all() and np.isin(b[:grid_size], strengths).all()
-    draws = nogo._empty_table(SMALL.restarts)
+    draws = candidate_rows(SMALL.restarts)
     nogo._random_params(np.random.default_rng(SMALL.seed), *draws)
-    for column, drawn in zip(batches[0], draws):
+    for column, drawn in zip(table, draws):
         assert np.array_equal(column[grid_size:], drawn)
 
 
 @pytest.mark.parametrize("cpus", [1, 4])
 @pytest.mark.parametrize("seed", [0, 11, 2026])
 def test_draws_filled_by_chunk_equal_one_draw(monkeypatch, seed, cpus):
-    # the batch's workers draw the table's random rows chunk by chunk; 729
-    # grid rows end mid-chunk and 9001 draws end mid-chunk, and the rows
-    # are those of one whole draw from one generator
+    # the batch's workers write the rows chunk by chunk, the grid's from
+    # their index and the draws' from a generator moved ahead; 729 grid
+    # rows end mid-chunk and 9001 draws end mid-chunk, and the rows scored
+    # are the whole grid's and then those of one whole draw from one
+    # generator
     cfg = SearchConfig(restarts=9001, grid_density=3, local_steps=1, seed=seed)
     grid_size = cfg.grid_density**6
     assert grid_size % _kernels.CHUNK and (grid_size + cfg.restarts) % _kernels.CHUNK
-    tables = []
-    batch = _kernels.filter_gain_batch
+    _assert_scored_rows_are_grid_then_draws(cfg, cpus, monkeypatch)
 
-    def scored(rho, c_in, *table, **kwargs):
-        result = batch(rho, c_in, *table, **kwargs)
-        tables.append([col.copy() for col in table])
-        return result
 
-    monkeypatch.setattr(_kernels, "filter_gain_batch", scored)
+def test_grid_rows_spanning_chunks_follow_their_index(monkeypatch):
+    # a grid of 5**6 = 15,625 rows spans four chunks, each written from its
+    # rows' indices
+    cfg = SearchConfig(restarts=10, grid_density=5, local_steps=1, seed=1)
+    assert cfg.grid_density**6 > 3 * _kernels.CHUNK
+    _assert_scored_rows_are_grid_then_draws(cfg, 2, monkeypatch)
+
+
+def _assert_scored_rows_are_grid_then_draws(cfg, cpus, monkeypatch):
+    _, chunks = _scored_rows(monkeypatch)
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
     maximize_concurrence_gain(make_werner(0.8), cfg)
-    (table,) = tables
-    grid, draws = nogo._empty_table(grid_size), nogo._empty_table(cfg.restarts)
-    nogo._grid_params(cfg.grid_density, *grid)
-    nogo._random_params(np.random.default_rng(seed), *draws)
-    for column, *parts in zip(table, grid, draws):
+    grid, draws = candidate_rows(cfg.grid_density**6), candidate_rows(cfg.restarts)
+    nogo._grid_params(cfg.grid_density, 0, *grid)
+    nogo._random_params(np.random.default_rng(cfg.seed), *draws)
+    for column, *parts in zip(_scored_table(chunks), grid, draws):
         assert np.array_equal(column, np.concatenate(parts))
+
+
+def test_search_memory_does_not_grow_with_the_budget(monkeypatch):
+    # the workers score the rows chunk by chunk and keep only each chunk's
+    # best, so once warm, a search of 400,000 draws peaks within 1 MB of
+    # one of 100,000, where the rows alone would take 19 MB more
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
+    rho = make_werner(0.8)
+
+    def peak(restarts):
+        cfg = SearchConfig(restarts=restarts, grid_density=3, local_steps=5, seed=3)
+        tracemalloc.start()
+        try:
+            maximize_concurrence_gain(rho, cfg)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(100_000)
+    assert peak(400_000) <= peak(100_000) + 1_000_000
 
 
 @pytest.mark.parametrize("size", [1, 5, 6, 7, 40, 3000])
@@ -129,9 +186,10 @@ def test_top_indices_match_stable_argsort(size, rng):
         g = rng.integers(-2, 3, size=size).astype(float)
         g[rng.random(size) < 0.3] = -np.inf
         for k in (1, _REFINE_TOP, size):
-            assert np.array_equal(_top_indices(g, k), np.argsort(-g, kind="stable")[:k])
+            assert np.array_equal(_kernels._top_indices(g, k), np.argsort(-g, kind="stable")[:k])
     g = np.full(size, -np.inf)
-    assert np.array_equal(_top_indices(g, _REFINE_TOP), np.arange(min(size, _REFINE_TOP)))
+    assert np.array_equal(_kernels._top_indices(g, _REFINE_TOP),
+                          np.arange(min(size, _REFINE_TOP)))
 
 
 HESS_6D = np.eye(6) + 0.3 * np.ones((6, 6))
@@ -258,8 +316,8 @@ def test_best_gain_is_the_refinements_best_end_point(refinements):
 
 def test_refinement_starts_are_distinct(refinements):
     # the grid's strength-0 rows are one identity filter for every axis, and
-    # tie at the top of the table on these states; each filter pair starts
-    # one refinement
+    # tie at the top of the candidate rows on these states; each filter pair
+    # starts one refinement
     import golden  # golden imports this module
 
     for rho in (make_werner(0.8), make_bell_diagonal([0.7, 0.1, 0.15, 0.05]),
