@@ -29,16 +29,16 @@ The chunk body allocates nothing that grows with the chunk: it writes every
 chunk-sized intermediate into a workspace of three flat complex buffers, 16
 entries per point each, which its stages share, and the batch writes a
 chunk's rows and their gains and t into a fourth, real one of 10 entries
-per point (848 bytes a point in all, 3.5 MB at ``CHUNK``). Workspaces stay
-on a module-level free list (``_workspaces``). A chunk takes one, grows it
-if it is shorter than the chunk, and gives it back when done, so the list
-holds one workspace per chunk that ever ran at the same time: for one
-calling thread, one per worker of the largest pool, at most one per usable
-CPU. The pool's threads end with each call; only the buffers stay. With
-fresh temporaries, glibc gave each chunk's 3.9 MB back to the system and
-the next chunk faulted it in again: about 3,500 minor page faults per
-Bell-diagonal certificate of about 19,700 filter pairs, where the
-workspaces take about 400.
+per point (848 bytes a point in all, 3.5 MB at ``CHUNK``). Each thread
+keeps one workspace of its own (``_workspace``), made at its first chunk
+and grown only when a chunk is longer than it. Batches of two or more
+chunks run on one persistent thread pool (``_pool``), made at the
+first of them with one thread per usable CPU; its threads wait between
+calls, so the process holds one workspace per pool thread, plus the
+calling thread's once that has run a chunk. With fresh temporaries, glibc
+gave each chunk's 3.9 MB back to the system and the next chunk faulted it
+in again: about 3,500 minor page faults per Bell-diagonal certificate of
+about 19,700 filter pairs, where the workspaces take about 400.
 """
 
 from __future__ import annotations
@@ -86,13 +86,15 @@ COLUMN_FLOOR = 64.0 * _EPS
 # the six column pairs (p, q), p < q
 _PAIR_P = np.array([0, 0, 0, 1, 1, 2])
 _PAIR_Q = np.array([1, 2, 3, 2, 3, 3])
-# The free list of workspaces not in use (see _gain_chunk). A chunk takes
-# one and gives it back when done; list.pop and list.append are atomic, so
-# the pool's workers share the list without a lock.
-_workspaces = []
-# .scratch: while a chunk runs on a thread, the flat buffer that
-# tau_singular_values may write over on it
-_held = threading.local()
+# The persistent thread pool of the threaded batches, made, under the lock,
+# at the first of them with one thread per usable CPU. Its threads wait
+# between calls and are joined, idle, at interpreter exit; a forked child
+# has none of them, so it makes its own pool.
+_pool, _pool_lock = None, threading.Lock()
+os.register_at_fork(
+    after_in_child=lambda: globals().update(_pool=None, _pool_lock=threading.Lock()))
+# .ws: the thread's workspace (see _workspace)
+_local = threading.local()
 
 
 def eigvals4x4(m):
@@ -206,7 +208,7 @@ def concurrence4(rho):
     return float(concurrence_from_lambdas(lambdas(state_root(rho))))
 
 
-def tau_singular_values(tau, t, differential=False):
+def tau_singular_values(tau, t, differential=False, scratch=None):
     """Descending singular values of a (4, 4, N) stack of taus, as (N, 4).
 
     ``t`` holds each point's branch probability |Z|^2. tau = Z^T (sy x sy) Z
@@ -221,10 +223,10 @@ def tau_singular_values(tau, t, differential=False):
     order and LAPACK solves each matrix on its own, so a point's values
     depend only on the point.
 
-    The intermediates go into a flat buffer of 32 N floats, and the values
-    returned are a view of it: inside :func:`_gain_chunk`, the scratch its
-    workspace sets aside on the calling thread, which the chunk's next use
-    writes over; anywhere else, a new buffer.
+    The intermediates go into a flat float buffer of at least 32 N entries,
+    and the values returned are a view of it: ``scratch`` if given (from
+    :func:`_gain_chunk`, a spare buffer of its workspace, which the chunk's
+    next use writes over), else a new buffer.
 
     What the test guarantees. Write tau+ tau = D + E, D holding the squared
     norms n_p^2 and E the inner products e_pq, and compare
@@ -282,9 +284,7 @@ def tau_singular_values(tau, t, differential=False):
     n = len(t)
     # the views of the buffer overlap where one is dead before the next is
     # written
-    s = getattr(_held, "scratch", None)
-    if s is None:
-        s = np.empty(32 * n)
+    s = np.empty(32 * n) if scratch is None else scratch
     sq, sq_imag = s[: 32 * n].reshape(2, 4, 4, n)
     np.add(np.square(tau.real, out=sq), np.square(tau.imag, out=sq_imag), out=sq)
     np.add(sq[0], sq[1], out=sq[0])
@@ -391,26 +391,16 @@ def _tau(z, m, tau):
     return np.add(m, m.swapaxes(0, 1), out=tau)
 
 
-def _take(k):
-    """A workspace for ``k`` points: three flat complex buffers of 16 entries
-    per point, for :func:`_gain_chunk`, and a flat float buffer of 10, for
-    the batch runner's rows and their gains and t. It is the one last given
-    back to the free list, or a new one if the list is empty or that one is
-    shorter (it is then dropped)."""
-    try:
-        ws = _workspaces.pop()
-    except IndexError:
-        ws = None
+def _workspace(k):
+    """The calling thread's workspace, for at least ``k`` points: three flat
+    complex buffers of 16 entries per point, for :func:`_gain_chunk`, and a
+    flat float buffer of 10, for the batch runner's rows and their gains
+    and t; made anew, the old one dropped, for a chunk longer than it."""
+    ws = getattr(_local, "ws", None)
     if ws is None or len(ws[0]) < 16 * k:
         ws = [np.empty(16 * k, dtype=np.complex128) for _ in range(3)] + [np.empty(10 * k)]
+        _local.ws = ws
     return ws
-
-
-def _give(ws):
-    """Gives a workspace back to the free list; the thread then holds no
-    scratch."""
-    _held.scratch = None
-    _workspaces.append(ws)
 
 
 def _usable_cpus():
@@ -425,8 +415,9 @@ def _gain_chunk(ws, x, c_in, a, n, b, m, gains, t, grad=None):
     """The one body of both gain entries: writes the gains and t of the
     filter pairs (a, n, b, m) into ``gains`` and ``t``, and with ``grad``
     their (N, 6) gradients, derived in :func:`filter_gain_gradient`. It
-    computes in the workspace ``ws`` (:func:`_take`), which the caller
-    takes and gives back.
+    computes in the workspace ``ws``, the calling thread's
+    (:func:`_workspace`), and passes its spare buffer to
+    :func:`tau_singular_values` as scratch.
 
     Points are held batch-last. Both filters are built elementwise as
     (2, 2, N) stacks, the filtered root (A x B) X as (1 x B) then (A x 1)
@@ -467,11 +458,11 @@ def _gain_chunk(ws, x, c_in, a, n, b, m, gains, t, grad=None):
     else:
         z, spare = np.compress(ok, z, axis=2, out=yb[: 16 * kept].reshape(4, 4, kept)), zb
     tau = _tau(z, spare[: 16 * kept].reshape(4, 4, kept), wb[: 16 * kept].reshape(4, 4, kept))
-    _held.scratch = spare.view(np.float64)
+    scratch = spare.view(np.float64)
     if grad is None:
-        sv = tau_singular_values(tau, tk)
+        sv = tau_singular_values(tau, tk, scratch=scratch)
     else:
-        sv, q = tau_singular_values(tau, tk, differential=True)
+        sv, q = tau_singular_values(tau, tk, differential=True, scratch=scratch)
     c = concurrence_from_lambdas(np.divide(sv, tk[:, None],
                                            out=wb.view(np.float64)[: 4 * kept].reshape(kept, 4)))
     gains[ok] = c - c_in
@@ -521,12 +512,13 @@ def filter_gain_batch(rho, c_in, a, n, b, m, *, fill=None, top=None):
     draws in one call; the refinement uses
     :func:`filter_gain_gradient`. X is :func:`gain_root`'s root, computed
     once per call. The points are evaluated by :func:`_gain_chunk` in
-    chunks of ``CHUNK``. A batch of two or more chunks is spread over a
-    thread pool with one worker per usable CPU (at most one per chunk);
-    numpy's kernels release the GIL, so the chunks run in parallel. Each
-    point's result is the same whichever chunk or thread evaluates it, and
-    whichever workspace of the free list the chunk computes in (see the
-    module docstring).
+    chunks of ``CHUNK``, each in the workspace of the thread that runs it.
+    A batch of two or more chunks, with two or more usable CPUs, is spread
+    over the persistent thread pool ``_pool``, and the call
+    returns once every chunk has ended; numpy's kernels release the GIL, so
+    the chunks run in parallel. Each point's result is the same whichever
+    chunk or thread evaluates it, and whatever its workspace held before
+    (see the module docstring).
 
     ``fill``, if given, writes each chunk's rows: it is called as
     ``fill(lo, a, n, b, m)`` on the worker, with ``lo`` the chunk's first
@@ -534,7 +526,9 @@ def filter_gain_batch(rho, c_in, a, n, b, m, *, fill=None, top=None):
     write every row. The chunk is scored on what it writes; ``a``, ``n``,
     ``b`` and ``m`` then only give the batch's length and are not read, so
     zero-stride arrays (``np.broadcast_to``) serve. The search writes its
-    rows that way, so no table of them is ever held.
+    rows that way, so no table of them is ever held. ``fill`` must not call
+    the gain kernels: they would compute in the workspace that holds its
+    chunk.
 
     Returns the N gains and t. With ``top``, it returns instead the ``top``
     best rows (all N if fewer), ranked by gain, descending, ties going to
@@ -561,39 +555,41 @@ def filter_gain_batch(rho, c_in, a, n, b, m, *, fill=None, top=None):
 
     def run(lo):
         k = min(CHUNK, len(a) - lo)
-        ws = _take(k)
-        try:
-            # the workspace's rows (a, n, b, m), then their gains and t
-            r = ws[3]
-            if fill is None:
-                chunk = [col[lo : lo + k] for col in (a, n, b, m)]
-            else:
-                chunk = [r[:k], r[k : 4 * k].reshape(k, 3),
-                         r[4 * k : 5 * k], r[5 * k : 8 * k].reshape(k, 3)]
-                fill(lo, *chunk)
-            if top is None:
-                scores = gains[lo : lo + k], t[lo : lo + k]
-            else:
-                scores = r[8 * k : 9 * k], r[9 * k : 10 * k]
-            _gain_chunk(ws, x, c_in, *chunk, *scores)
-            if top is not None:
-                best = _top_indices(scores[0], top)
-                return [col[best] for col in (*scores, *chunk)]
-        finally:
-            _give(ws)
+        ws = _workspace(k)
+        # the workspace's rows (a, n, b, m), then their gains and t
+        r = ws[3]
+        if fill is None:
+            chunk = [col[lo : lo + k] for col in (a, n, b, m)]
+        else:
+            chunk = [r[:k], r[k : 4 * k].reshape(k, 3),
+                     r[4 * k : 5 * k], r[5 * k : 8 * k].reshape(k, 3)]
+            fill(lo, *chunk)
+        if top is None:
+            scores = gains[lo : lo + k], t[lo : lo + k]
+        else:
+            scores = r[8 * k : 9 * k], r[9 * k : 10 * k]
+        _gain_chunk(ws, x, c_in, *chunk, *scores)
+        if top is not None:
+            best = _top_indices(scores[0], top)
+            return [col[best] for col in (*scores, *chunk)]
 
     starts = range(0, len(a), CHUNK)
-    workers = min(_usable_cpus(), len(starts))
-    if workers < 2:
+    if min(_usable_cpus(), len(starts)) < 2:
         bests = [run(lo) for lo in starts]
     else:
         # imported here, not at module level: it would add about 8 ms to
-        # every import qlocc. The pool's threads end with the call; the
-        # workspaces they computed in stay on the free list, one per worker.
-        from concurrent.futures import ThreadPoolExecutor
+        # every import qlocc
+        from concurrent.futures import ThreadPoolExecutor, wait
 
-        with ThreadPoolExecutor(workers) as pool:
-            bests = list(pool.map(run, starts))
+        global _pool
+        with _pool_lock:
+            if _pool is None:
+                _pool = ThreadPoolExecutor(_usable_cpus())
+            pool = _pool
+        futures = [pool.submit(run, lo) for lo in starts]
+        # every chunk ends before the call does, a failing call's too
+        wait(futures)
+        bests = [f.result() for f in futures]
     if top is None:
         return gains, t
     gains, t, *params = (np.concatenate(cols) for cols in zip(*bests))
@@ -630,11 +626,7 @@ def filter_gain_gradient(x, c_in, a, n, b, m):
     lie in Z's null space and contribute zero.
     """
     gains, t, grad = np.empty(len(a)), np.empty(len(a)), np.full((len(a), 6), np.nan)
-    ws = _take(len(a))
-    try:
-        _gain_chunk(ws, x.reshape(2, 2, 4), c_in, a, n, b, m, gains, t, grad)
-    finally:
-        _give(ws)
+    _gain_chunk(_workspace(len(a)), x.reshape(2, 2, 4), c_in, a, n, b, m, gains, t, grad)
     return gains, t, grad
 
 

@@ -211,7 +211,7 @@ def cmd_nogo(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    if args.f_list:
+    if args.f_list is not None:
         try:
             fs = [float(x) for x in args.f_list.split(",")]
         except ValueError as exc:

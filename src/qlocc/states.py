@@ -172,16 +172,23 @@ class PauliRep:
 
 @dataclass(frozen=True, eq=False)
 class PureState:
-    """A normalized two-qubit state vector (4 complex amplitudes)."""
+    """A normalized two-qubit state vector: ``amps``, a read-only copy of
+    the 4 complex amplitudes given, so the state cannot change."""
 
     amps: np.ndarray
 
     def __post_init__(self):
-        a = np.ascontiguousarray(self.amps, dtype=np.complex128).reshape(4)
+        a = np.array(self.amps, dtype=np.complex128).reshape(4)
         nrm = float(np.sum(np.abs(a) ** 2))
         if not abs(nrm - 1.0) <= 1e-12:  # NaN fails too
             raise DomainError(f"state vector norm^2 = {nrm} is not 1")
+        a.flags.writeable = False
         object.__setattr__(self, "amps", a)
+
+    def __reduce__(self):
+        # copies and pickles are rebuilt through the constructor, which
+        # marks their amplitudes read-only
+        return PureState, (self.amps,)
 
 
 def density_from_pure(psi: PureState) -> DensityMatrix:

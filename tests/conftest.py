@@ -111,6 +111,17 @@ def rng():
 
 
 @pytest.fixture
+def fresh_pool(monkeypatch):
+    """The kernel's thread pool, made anew at the test's first threaded
+    batch, with one thread per CPU the test lets it use, and shut down,
+    its threads joined, after the test."""
+    monkeypatch.setattr(_kernels, "_pool", None)
+    yield
+    if _kernels._pool is not None:
+        _kernels._pool.shutdown()
+
+
+@pytest.fixture
 def svd_fails_on_stacks(monkeypatch):
     """LAPACK's svd fails on (N, 4, 4) stacks, and the gain kernels get an
     eigh root. Its taus are column-orthogonal for some states (none of a

@@ -317,6 +317,15 @@ def test_sweep_f_list_approaching_half(capsys):
         assert t_worst >= floor - 1e-12
 
 
+def test_sweep_empty_or_malformed_f_list_is_usage_error(capsys):
+    # an empty list is no list of numbers: it does not fall back to the
+    # default grid
+    for f_list in ("", "0.6,", "0.6,high"):
+        code, out, err = _run(capsys, ["sweep", "--f-list", f_list, "--grid-density", "2"])
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --f-list expects comma-separated numbers")
+
+
 def test_sweep_invalid_grid(capsys):
     code, _, _ = _run(capsys, ["sweep", "--f-min", "0.9", "--f-max", "0.6",
                                "--f-step", "0.1"])

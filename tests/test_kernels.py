@@ -5,7 +5,9 @@ threads and its error paths."""
 import ast
 import glob
 import os
+import subprocess
 import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -76,7 +78,7 @@ def test_batch_rejects_mismatched_shapes(rng):
         _kernels.filter_gain_batch(rho, 0.1, a, n, b, np.ones((3, 4)))
 
 
-def test_threaded_batch_is_identical_to_chunks_and_one_worker(rng, monkeypatch):
+def test_threaded_batch_is_identical_to_chunks_and_one_worker(rng, monkeypatch, fresh_pool):
     # about 2.5 chunks, so three workers share the output arrays and the
     # last chunk is partial; a short switch interval interleaves them often
     rho = random_density_matrix(rng).mat
@@ -102,7 +104,7 @@ def test_threaded_batch_is_identical_to_chunks_and_one_worker(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", [1, 3])
-def test_chunk_bests_merge_to_the_batch_best(cpus, rng, monkeypatch):
+def test_chunk_bests_merge_to_the_batch_best(cpus, rng, monkeypatch, fresh_pool):
     # each worker keeps its chunk's best rows and the call merges them. With
     # chunks of 8 rows and stand-in gains: few distinct values, so ties fall
     # within chunks and across their boundaries; -inf entries (filtered-out
@@ -146,7 +148,7 @@ def test_chunk_bests_merge_to_the_batch_best(cpus, rng, monkeypatch):
                 assert np.array_equal(a[:_REFINE_TOP], [6, 7, 8, 9, 54, 55][:top])
 
 
-def test_batch_best_rows_have_the_batch_bits(rng, monkeypatch):
+def test_batch_best_rows_have_the_batch_bits(rng, monkeypatch, fresh_pool):
     # the kernel's own gains, about 2.5 chunks over three workers, with a
     # short switch interval interleaving them often: the best rows of a
     # batch with top are its full result's stable argsort, with the same
@@ -178,23 +180,84 @@ def test_threaded_batch_raises_worker_errors(rng, monkeypatch, svd_fails_on_stac
         _kernels.filter_gain_batch(rho, 0.1, *_random_batch(rng, 2 * _kernels.CHUNK))
 
 
-def test_worker_error_returns_its_workspace(rng, monkeypatch, svd_fails_on_stacks):
-    # as in test_threaded_batch_raises_worker_errors: every workspace a
-    # failing chunk took is back on the free list, once, and a failing
-    # gradient call leaves its thread holding no scratch
-    monkeypatch.setattr(_kernels, "_workspaces", [])
-    taken, take = [], _kernels._take
-    monkeypatch.setattr(_kernels, "_take", lambda k: taken.append(take(k)) or taken[-1])
+def test_pool_scores_after_a_worker_error(rng, monkeypatch, svd_fails_on_stacks):
+    # as in test_threaded_batch_raises_worker_errors, and a failing gradient
+    # call; once LAPACK works again, the same pool scores a batch with the
+    # bits one worker gives it
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
     rho = random_density_matrix(rng).mat
+    params = _random_batch(rng, 2 * _kernels.CHUNK)
     with pytest.raises(ConvergenceFailure, match="did not converge"):
-        _kernels.filter_gain_batch(rho, 0.1, *_random_batch(rng, 2 * _kernels.CHUNK))
-    free = [id(ws) for ws in _kernels._workspaces]
-    assert taken and sorted(free) == sorted({id(ws) for ws in taken})
+        _kernels.filter_gain_batch(rho, 0.1, *params)
     with pytest.raises(ConvergenceFailure, match="did not converge"):
         _kernels.filter_gain_gradient(_kernels.state_root(rho), 0.1, *_random_batch(rng, 6))
-    assert getattr(_kernels._held, "scratch", None) is None
-    assert len(_kernels._workspaces) == len(free)
+    pool = _kernels._pool
+    monkeypatch.undo()
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
+    threaded = _kernels.filter_gain_batch(rho, 0.1, *params)
+    assert pool is not None and _kernels._pool is pool
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 1)
+    assert np.array_equal(threaded, _kernels.filter_gain_batch(rho, 0.1, *params))
+
+
+def test_second_threaded_batch_starts_no_thread(rng, monkeypatch, fresh_pool):
+    # the pool's threads persist: a second batch of two chunks runs on
+    # threads the first started, starts none, and has the first's bits
+    monkeypatch.setattr(_kernels, "_usable_cpus", lambda: 2)
+    ran, workspace = set(), _kernels._workspace
+    monkeypatch.setattr(_kernels, "_workspace",
+                        lambda k: ran.add(threading.current_thread()) or workspace(k))
+    rho = random_density_matrix(rng).mat
+    params = _random_batch(rng, 2 * _kernels.CHUNK)
+    first = _kernels.filter_gain_batch(rho, 0.3, *params)
+    alive, count = set(threading.enumerate()), threading.active_count()
+    ran.clear()
+    second = _kernels.filter_gain_batch(rho, 0.3, *params)
+    assert threading.active_count() == count
+    assert ran and ran <= alive and threading.current_thread() not in ran
+    assert np.array_equal(first, second)
+
+
+_POOL_SCRIPT = """
+import numpy as np
+from qlocc import _kernels, states
+from qlocc.nogo import SearchConfig, maximize_concurrence_gain
+_kernels._usable_cpus = lambda: 2
+rho = states.make_werner(0.8)
+rows = np.random.default_rng(1).random((2 * _kernels.CHUNK, 8))
+params = rows[:, 0] * 0.9, rows[:, 1:4] - 0.5, rows[:, 4] * 0.9, rows[:, 5:8] - 0.5
+gains = _kernels.filter_gain_batch(rho.mat, 0.6, *params)[0]
+"""
+
+
+def _run_script(code):
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = {**os.environ, "PYTHONPATH": src + os.pathsep + os.environ.get("PYTHONPATH", "")}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_pool_threads_let_the_interpreter_exit():
+    # the pool's threads wait between calls and do not hold up exit
+    run = _run_script(_POOL_SCRIPT + "maximize_concurrence_gain(rho, SearchConfig("
+                      "restarts=9000, grid_density=2, local_steps=5))\n")
+    assert run.returncode == 0, run.stderr
+
+
+def test_forked_child_makes_its_own_pool():
+    # a child forked after a threaded batch has none of the pool's threads;
+    # it makes a pool of its own and scores the batch with the same bits.
+    # The alarm ends a child that hangs.
+    run = _run_script(_POOL_SCRIPT + """
+import os, signal
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)
+    again = _kernels.filter_gain_batch(rho.mat, 0.6, *params)[0]
+    os._exit(0 if np.array_equal(again, gains) else 3)
+print(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+""")
+    assert (run.returncode, run.stdout) == (0, "0\n"), run.stderr
 
 
 def _svd_rows(monkeypatch):
@@ -491,7 +554,7 @@ def test_solver_routes_agree(case, rng, monkeypatch):
         g_col, t_col = _kernels.filter_gain_batch(rho, 0.0, a, n, b, m)
         with monkeypatch.context() as patch:
             patch.setattr(_kernels, "tau_singular_values",
-                          lambda tau, t: _kernels._svd(np.moveaxis(tau, -1, 0)))
+                          lambda tau, t, scratch: _kernels._svd(np.moveaxis(tau, -1, 0)))
             g_svd, t_svd = _kernels.filter_gain_batch(rho, 0.0, a, n, b, m)
         assert np.array_equal(t_svd, t_col)
         assert np.isfinite(g_svd).all() and np.isfinite(g_col).all()
@@ -556,25 +619,40 @@ def _reuse_bits(rho, params, via_lapack, monkeypatch):
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-def test_reused_workspaces_keep_every_bit(cpus, rng, monkeypatch):
+def test_reused_workspaces_keep_every_bit(cpus, rng, monkeypatch, fresh_pool):
     # the batches scored in sequence, the first again last, each on the
     # workspaces the ones before it left, filled with NaN in between: each
     # has the bits it has on new workspaces, so no stage reads an entry it
-    # did not write. At most one workspace per worker stays.
+    # did not write. Each thread that ran a chunk holds one workspace, made
+    # anew only for a chunk longer than any it ran before.
     monkeypatch.setattr(_kernels, "_usable_cpus", lambda: cpus)
     batches = _reuse_batches(rng)
     batches.append(batches[0])
     fresh = []
     for batch in batches:
-        monkeypatch.setattr(_kernels, "_workspaces", [])
+        monkeypatch.setattr(_kernels, "_local", threading.local())
         fresh.append(_reuse_bits(*batch, monkeypatch))
     assert np.isneginf(fresh[2][:300:10].view(float)).all()
-    monkeypatch.setattr(_kernels, "_workspaces", [])
+    monkeypatch.setattr(_kernels, "_local", threading.local())
+    calls, workspace = [], _kernels._workspace
+
+    def recording(k):
+        calls.append((threading.get_ident(), k, workspace(k)))
+        return calls[-1][2]
+
+    monkeypatch.setattr(_kernels, "_workspace", recording)
+    held, longest = {}, {}
     for batch, expected in zip(batches, fresh):
-        for buf in (buf for ws in _kernels._workspaces for buf in ws):
+        for buf in (buf for ws in held.values() for buf in ws):
             buf.fill(np.nan)
         assert np.array_equal(_reuse_bits(*batch, monkeypatch), expected)
-    assert 1 <= len(_kernels._workspaces) <= cpus
+        for thread, k, ws in calls:
+            if thread in held:
+                assert (ws is held[thread]) == (k <= longest[thread])
+            held[thread], longest[thread] = ws, max(k, longest.get(thread, 0))
+        calls.clear()
+    # the calling thread, and with cpus 2 the pool's threads
+    assert 1 <= len(held) <= (1 if cpus == 1 else 1 + cpus)
 
 
 def test_warm_batch_allocates_nothing_per_chunk(rng, monkeypatch):
@@ -595,7 +673,7 @@ def test_warm_batch_allocates_nothing_per_chunk(rng, monkeypatch):
     assert peak < 1_000_000
 
 
-def test_threaded_certificate_is_identical_to_one_worker(monkeypatch):
+def test_threaded_certificate_is_identical_to_one_worker(monkeypatch, fresh_pool):
     # restarts beyond two chunks put the random stage on the pool
     cfg = SearchConfig(restarts=9000, grid_density=2, local_steps=60, seed=5)
     rho = states.make_bell_diagonal([0.7, 0.1, 0.15, 0.05])

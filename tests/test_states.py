@@ -238,6 +238,21 @@ def test_pure_state_normalization():
     assert abs(np.linalg.norm(psi.amps) - 1.0) < 1e-12
 
 
+def test_pure_state_holds_a_read_only_copy():
+    # a write to the given vector does not reach the state, its amplitudes
+    # refuse writes, and copies and pickles are rebuilt read-only
+    a = np.array([0, 1, -1, 0], complex) / np.sqrt(2)
+    psi = PureState(a)
+    a[0] = 5.0
+    assert psi.amps[0] == 0.0
+    assert not psi.amps.flags.writeable
+    with pytest.raises(ValueError):
+        psi.amps[0] = 5.0
+    for copied in (copy.deepcopy(psi), pickle.loads(pickle.dumps(psi))):
+        assert not copied.amps.flags.writeable
+        assert copied.amps.tobytes() == psi.amps.tobytes()
+
+
 def test_density_matrix_json_round_trip(rng):
     rho = random_density_matrix(rng)
     back = density_matrix_from_dict(density_matrix_to_dict(rho))
