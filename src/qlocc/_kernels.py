@@ -530,9 +530,10 @@ def filter_gain_batch(rho, c_in, a, n, b, m, *, fill=None, top=None):
     the gain kernels: they would compute in the workspace that holds its
     chunk.
 
-    Returns the N gains and t. With ``top``, it returns instead the ``top``
-    best rows (all N if fewer), ranked by gain, descending, ties going to
-    the lower row: their gains, t and parameters (a, n, b, m).
+    Returns the N gains and t. With ``top``, a positive integer (else
+    ``ValueError``), it returns instead the ``top`` best rows (all N if
+    fewer, none for an empty batch), ranked by gain, descending, ties going
+    to the lower row: their gains, t and parameters (a, n, b, m).
     Each worker keeps its chunk's ``top`` best rows in that order, and the
     call ranks the chunks' bests, concatenated in chunk order, stably by
     gain. A row among the batch's ``top`` best is among its own chunk's,
@@ -549,9 +550,16 @@ def filter_gain_batch(rho, c_in, a, n, b, m, *, fill=None, top=None):
         raise ValueError("parameter arrays must share their leading dimension")
     if n.shape[1:] != (3,) or m.shape[1:] != (3,):
         raise ValueError("axis arrays must have shape (N, 3)")
+    if top is not None and (isinstance(top, bool) or not isinstance(top, (int, np.integer))
+                            or top < 1):
+        raise ValueError(f"top must be a positive integer, got {top!r}")
     x = gain_root(rho).reshape(2, 2, 4)
     if top is None:
         gains, t = np.empty(len(a)), np.empty(len(a))
+    elif not len(a):
+        # no chunk runs, so there are no chunk bests to rank
+        empty, axes = np.empty(0), np.empty((0, 3))
+        return empty, empty.copy(), (empty.copy(), axes, empty.copy(), axes.copy())
 
     def run(lo):
         k = min(CHUNK, len(a) - lo)

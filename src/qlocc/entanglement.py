@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from qlocc._kernels import _YY_SIGNS
 from qlocc.states import SY, DensityMatrix
-
-_YY = np.kron(SY, SY)
 
 
 @dataclass(frozen=True)
@@ -42,12 +41,18 @@ class InvariantRatios:
 
 
 def spin_flip_operator(o: np.ndarray) -> np.ndarray:
-    """Tilde of an operator: sy O* sy for 2x2, (sy x sy) O* (sy x sy) for 4x4."""
+    """Tilde of an operator: sy O* sy for 2x2, (sy x sy) O* (sy x sy) for 4x4.
+
+    sy x sy is the signed antidiagonal of ``_kernels._YY_SIGNS``, so the
+    4x4 tilde reverses the rows and columns of O* and signs them. Adding
+    0.0 gives its exact zeros the + sign the matrix products give them;
+    every other bit is theirs too.
+    """
     o = np.asarray(o, dtype=np.complex128)
     if o.shape == (2, 2):
         return SY @ o.conj() @ SY
     if o.shape == (4, 4):
-        return _YY @ o.conj() @ _YY
+        return _YY_SIGNS * o.conj()[::-1, ::-1] * _YY_SIGNS.T + 0.0
     raise ValueError("expected a 2x2 or 4x4 operator")
 
 

@@ -519,10 +519,13 @@ def procrustean_pure(psi: PureState) -> ProcrusteanResult:
 
 def randomization_convexity_check(states, weights) -> bool:
     """True when mixing loses entanglement: E(sum w_i rho_i) <= sum w_i E(rho_i),
-    within 1e-10 slack."""
+    within 1e-10 slack. Raises :class:`~qlocc.errors.NotAState` when one of
+    ``states`` fails :func:`~qlocc.states.require_state`."""
     w = check_probability_vector(weights)
     if len(states) != w.shape[0]:
         raise DomainError("need one weight per state")
+    for s in states:
+        require_state(s)
     mixed = DensityMatrix(sum(wi * s.mat for wi, s in zip(w, states)))
     lhs = entanglement_of_formation(mixed)
     rhs = float(sum(wi * entanglement_of_formation(s) for wi, s in zip(w, states)))

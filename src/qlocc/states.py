@@ -72,14 +72,16 @@ def all_finite(a: np.ndarray) -> bool:
 
 
 def check_probability_vector(p) -> np.ndarray:
-    """``p`` as a flat float vector. Raises
-    :class:`~qlocc.errors.DomainError` unless it is a probability vector:
-    numbers, not empty, finite, no entry below -1e-12, summing to 1 within
-    1e-12."""
+    """``p`` as a float vector. Raises :class:`~qlocc.errors.DomainError`
+    unless it is a probability vector: numbers in one dimension (a nested
+    list or a matrix is not flattened), not empty, finite, no entry below
+    -1e-12, summing to 1 within 1e-12."""
     try:
-        p = np.asarray(p, dtype=float).reshape(-1)
+        p = np.asarray(p, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"probabilities must be real numbers, got {p!r}") from exc
+    if p.ndim != 1:
+        raise DomainError(f"probabilities must form a vector, got shape {p.shape}")
     if not len(p) or not np.isfinite(p).all() or p.min() < -1e-12 or abs(p.sum() - 1.0) > 1e-12:
         raise DomainError(f"invalid probability vector {p.tolist()}")
     return p

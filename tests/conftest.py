@@ -4,8 +4,7 @@ tests draw from, reference oracles and fixtures."""
 import numpy as np
 import pytest
 
-from qlocc import _kernels, protocols
-from qlocc._kernels import kron
+from qlocc import _kernels
 from qlocc.errors import DomainError, NotPhysical
 from qlocc.locc import LocalFilter, LocalOperation, decompose_local_op
 from qlocc.nogo import FloorCheck, probability_floor
@@ -217,10 +216,30 @@ def collective_step_closed_form(F: float) -> tuple[float, float]:
     return f_prime, p_succ
 
 
+def _cnot4(ctrl: int, tgt: int) -> np.ndarray:
+    """CNOT on two of four qubits; qubit 0 is the most significant bit."""
+    u = np.zeros((16, 16), dtype=complex)
+    for idx in range(16):
+        bits = [(idx >> (3 - q)) & 1 for q in range(4)]
+        if bits[ctrl]:
+            bits[tgt] ^= 1
+        out = sum(b << (3 - q) for q, b in enumerate(bits))
+        u[out, idx] = 1.0
+    return u
+
+
+# the bilateral CNOT A1->A2, B1->B2 on qubit order (A1, B1, A2, B2)
+BILATERAL_CNOT = _cnot4(0, 2) @ _cnot4(1, 3)
+# maps the singlet to (a phase times) Phi+, taking Werner to isotropic form
+TO_PHI = np.kron(I2, SY)
+_PHI_PLUS = np.array([1, 0, 0, 1], dtype=complex) / np.sqrt(2.0)
+PHI_PLUS_PROJ = np.outer(_PHI_PLUS, _PHI_PLUS.conj())
+_MASK_00 = np.array([1.0 if (i >> 1) & 1 == 0 and i & 1 == 0 else 0.0 for i in range(16)])
+_MASK_11 = np.array([1.0 if (i >> 1) & 1 == 1 and i & 1 == 1 else 0.0 for i in range(16)])
 # the entries of the 16x16 density matrix kept when both second-pair
 # outcomes are 0, or both 1
-KEEP_00 = np.outer(protocols._MASK_00, protocols._MASK_00)
-KEEP_11 = np.outer(protocols._MASK_11, protocols._MASK_11)
+KEEP_00 = np.outer(_MASK_00, _MASK_00)
+KEEP_11 = np.outer(_MASK_11, _MASK_11)
 
 
 def collective_step_oracle(F: float) -> tuple[float, float]:
@@ -231,13 +250,13 @@ def collective_step_oracle(F: float) -> tuple[float, float]:
     F = real_number("recurrence input fidelity F", F)
     if not 0.5 < F < 1.0:
         raise DomainError(f"recurrence input fidelity F={F} must lie in (1/2, 1)")
-    chi = protocols._TO_PHI @ make_werner(F).mat @ protocols._TO_PHI.conj().T
-    total = kron(chi, chi)
-    total = protocols._BILATERAL_CNOT @ total @ protocols._BILATERAL_CNOT.conj().T
+    chi = TO_PHI @ make_werner(F).mat @ TO_PHI.conj().T
+    total = np.kron(chi, chi)
+    total = BILATERAL_CNOT @ total @ BILATERAL_CNOT.conj().T
     kept = total * KEEP_00 + total * KEEP_11
     p_succ = float(np.trace(kept).real)
     reduced = np.einsum("abcdefcd->abef", kept.reshape([2] * 8)).reshape(4, 4) / p_succ
-    f_prime = float(np.trace(reduced @ protocols._PHI_PLUS_PROJ).real)
+    f_prime = float(np.trace(reduced @ PHI_PLUS_PROJ).real)
     return f_prime, p_succ
 
 

@@ -62,9 +62,27 @@ def test_spin_flip_fixes_bell_diagonal(rng):
         np.testing.assert_allclose(spin_flip(rho).mat, rho.mat, atol=1e-14)
 
 
+def _hexes(m):
+    return [(x.real.hex(), x.imag.hex()) for x in np.asarray(m).ravel().tolist()]
+
+
 def test_spin_flip_matches_definition(rng):
+    # sign for sign, zeros included: dense complex matrices, matrices with
+    # exact zeros of either sign, and Werner and Bell-diagonal states
+    dense = [rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)) for _ in range(2000)]
+    sparse = []
+    for m in dense[:500]:
+        m = m.copy()
+        zeros = rng.random((2, 4, 4)) < 0.4
+        m.real[zeros[0]] = rng.choice([0.0, -0.0], zeros[0].sum())
+        m.imag[zeros[1]] = rng.choice([0.0, -0.0], zeros[1].sum())
+        sparse.append(m)
+    werner = [make_werner(f).mat for f in np.linspace(0.0, 1.0, 41)]
+    bell = [make_bell_diagonal(p).mat for p in (*np.eye(4), [0.7, 0.1, 0.15, 0.05], [0.25] * 4)]
+    for m in [*dense, *sparse, *werner, *bell]:
+        assert _hexes(spin_flip_operator(m)) == _hexes(spin_flip_oracle(m))
     rho = random_density_matrix(rng)
-    np.testing.assert_allclose(spin_flip(rho).mat, spin_flip_oracle(rho.mat), atol=1e-15)
+    assert _hexes(spin_flip(rho).mat) == _hexes(spin_flip_oracle(rho.mat))
 
 
 def test_tilde_factorizes_on_products(rng):

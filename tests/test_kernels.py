@@ -78,6 +78,21 @@ def test_batch_rejects_mismatched_shapes(rng):
         _kernels.filter_gain_batch(rho, 0.1, a, n, b, np.ones((3, 4)))
 
 
+def test_empty_batch_with_top_has_no_rows(rng):
+    rho = random_density_matrix(rng).mat
+    empty = np.empty(0), np.empty((0, 3)), np.empty(0), np.empty((0, 3))
+    gains, t, params = _kernels.filter_gain_batch(rho, 0.1, *empty, top=_REFINE_TOP)
+    assert gains.shape == t.shape == (0,)
+    assert [p.shape for p in params] == [(0,), (0, 3), (0,), (0, 3)]
+
+
+@pytest.mark.parametrize("top", [0, -1, 2.5, np.float64(3.0), True, "3"])
+def test_batch_rejects_top_that_is_not_a_positive_integer(rng, top):
+    rho = random_density_matrix(rng).mat
+    with pytest.raises(ValueError, match="top"):
+        _kernels.filter_gain_batch(rho, 0.1, *_random_batch(rng, 8), top=top)
+
+
 def test_threaded_batch_is_identical_to_chunks_and_one_worker(rng, monkeypatch, fresh_pool):
     # about 2.5 chunks, so three workers share the output arrays and the
     # last chunk is partial; a short switch interval interleaves them often

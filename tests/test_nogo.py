@@ -738,6 +738,12 @@ def test_convexity_weight_validation():
             randomization_convexity_check([make_werner(0.8), make_werner(0.7)], bad)
 
 
+def test_convexity_rejects_a_matrix_that_is_not_a_state():
+    # trace 2: a DensityMatrix holds it, but it is no state
+    with pytest.raises(NotAState):
+        randomization_convexity_check([DensityMatrix(2 * make_werner(0.8).mat)], [1.0])
+
+
 # --- Werner twirl ---
 
 def test_twirl_preserves_fidelity(rng):

@@ -90,6 +90,9 @@ def test_bell_diagonal_domain():
         make_bell_diagonal([0.5, 0.5, 0.5, -0.5])
     with pytest.raises(DomainError):
         make_bell_diagonal([0.3, 0.3, 0.3, 0.3])
+    # four probabilities summing to 1, as a 2x2 matrix: not flattened
+    with pytest.raises(DomainError, match="vector"):
+        make_bell_diagonal([[0.7, 0.1], [0.1, 0.1]])
     for bad in (np.nan, np.inf, "a", None, [0.5, 0.5]):
         with pytest.raises(DomainError):
             make_bell_diagonal([bad, 0.0, 0.0, 1.0])
