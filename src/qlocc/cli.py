@@ -283,7 +283,7 @@ def build_parser() -> _Parser:
                    help=f"grid step; the grid may hold at most {MAX_SWEEP_FIDELITIES} fidelities")
     p.add_argument("--f-list", metavar="F1,F2,...",
                    help="explicit fidelities; overrides the min/max/step grid")
-    p.add_argument("--grid-density", type=int, default=64,
+    p.add_argument("--grid-density", type=int, default=nogo.SCALE_GRID_DENSITY,
                    help="points per parameter of the (a, b, n.m) grid, "
                         f"at most {nogo.MAX_SCALE_GRID_DENSITY}")
     p.add_argument("--out", metavar="PATH", help="write CSV here (manifest as sidecar)")

@@ -25,7 +25,10 @@ from qlocc.states import (
     SZ,
     DensityMatrix,
     PauliRep,
+    Record,
     all_finite,
+    ingest_array,
+    read_only,
     real_number,
     require_state,
 )
@@ -40,21 +43,20 @@ _Z_AXIS = np.array([0.0, 0.0, 1.0])
 
 
 @dataclass(frozen=True, eq=False)
-class LocalFilter:
+class LocalFilter(Record):
     """Filtration nu(1 + a n.sigma): strength a in [0,1], unit axis n,
     scale nu in (0, 1/(1+a)] so both eigenvalues nu(1 +- a) stay in [0,1].
-    ``axis`` is a read-only copy of the given vector."""
+    A :class:`~qlocc.states.Record`: ``axis`` is a read-only (3,) copy."""
 
     strength: float
     axis: np.ndarray
     scale: float
 
     def __post_init__(self):
-        axis = np.array(self.axis, dtype=float).reshape(3)
+        axis = ingest_array("LocalFilter.axis", self.axis, float, (3,))
         # np.linalg.norm's formula for a real vector; NaN fails too
         if not abs(math.sqrt(axis @ axis) - 1.0) <= 1e-12:
             raise DomainError(f"filter axis {axis.tolist()} is not a unit vector")
-        axis.flags.writeable = False
         a = real_number("filter strength a", self.strength)
         nu = real_number("filter scale nu", self.scale)
         if not 0.0 <= a <= 1.0:
@@ -65,41 +67,27 @@ class LocalFilter:
         object.__setattr__(self, "strength", a)
         object.__setattr__(self, "scale", nu)
 
-    def __reduce__(self):
-        # rebuilt through the constructor, so the axis stays read-only
-        return LocalFilter, (self.strength, self.axis, self.scale)
-
 
 @dataclass(frozen=True, eq=False)
-class LocalOperation:
+class LocalOperation(Record):
     """A general single-party branch operator, expressed as unitary * filter.
-    ``unitary`` is a read-only copy of the given matrix, and ``matrix``, the
-    read-only product, is computed once."""
+    A :class:`~qlocc.states.Record`: ``unitary`` is a read-only 2x2 copy, and
+    ``matrix``, the read-only product, is computed once."""
 
     unitary: np.ndarray
     filter: LocalFilter
 
     def __post_init__(self):
-        u = np.array(self.unitary, dtype=np.complex128, order="C")
-        if u.shape != (2, 2):
-            raise DomainError("unitary must be 2x2")
+        u = ingest_array("LocalOperation.unitary", self.unitary, np.complex128, (2, 2))
         # the Frobenius norm as np.linalg.norm forms it; NaN fails too
         d = (u @ u.conj().T - I2).ravel()
         if not math.sqrt(d.real @ d.real + d.imag @ d.imag) <= 1e-10:
             raise DomainError("operator factor is not unitary within 1e-10")
-        u.flags.writeable = False
         object.__setattr__(self, "unitary", u)
-
-    def __reduce__(self):
-        # rebuilt through the constructor, so the unitary stays read-only
-        # and the matrix is recomputed on use
-        return LocalOperation, (self.unitary, self.filter)
 
     @cached_property
     def matrix(self) -> np.ndarray:
-        m = self.unitary @ filter_matrix(self.filter)
-        m.flags.writeable = False
-        return m
+        return read_only(self.unitary @ filter_matrix(self.filter))
 
 
 @dataclass(frozen=True, eq=False)
@@ -196,24 +184,25 @@ def closed_form_t(rep: PauliRep, fA: LocalFilter, fB: LocalFilter) -> float:
 
 
 def predicted_concurrence(c_in: float, fA: LocalFilter, fB: LocalFilter, t: float) -> float:
-    """Concurrence after filtering: mu^2 nu^2 (1-a^2)(1-b^2) / t * c_in."""
-    if not t > 0.0:  # NaN fails too
-        raise DomainError(f"branch probability t={t} must be positive")
+    """Concurrence after filtering: mu^2 nu^2 (1-a^2)(1-b^2) / t * c_in.
+    Raises :class:`~qlocc.errors.DomainError` unless t is finite and > 0."""
+    if not 0.0 < t < math.inf:  # NaN fails too
+        raise DomainError(f"branch probability t={t} must be finite and positive")
     a, nu = fA.strength, fA.scale
     b, mu = fB.strength, fB.scale
     return (mu * mu) * (nu * nu) * (1.0 - a * a) * (1.0 - b * b) / t * c_in
 
 
 @dataclass(frozen=True, eq=False)
-class NormalForm:
+class NormalForm(Record):
     """The filtering normal form of a state and the optimum it certifies.
 
-    ``filter_a`` and ``filter_b`` are determinant-one 2x2 filters and
-    ``state`` is (A x B) rho (A x B)+ normalized; ``trace`` is that
-    product's trace relative to tr(rho). ``optimum`` = C(rho) / ``trace``
-    is the largest concurrence any local filter pair reaches from rho.
-    ``residual`` is the largest deviation of either normalized marginal
-    from 1/2 at the stop.
+    ``filter_a`` and ``filter_b`` are determinant-one 2x2 filters, held as
+    read-only copies (a :class:`~qlocc.states.Record`), and ``state`` is
+    (A x B) rho (A x B)+ normalized; ``trace`` is that product's trace
+    relative to tr(rho). ``optimum`` = C(rho) / ``trace`` is the largest
+    concurrence any local filter pair reaches from rho. ``residual`` is the
+    largest deviation of either normalized marginal from 1/2 at the stop.
     """
 
     filter_a: np.ndarray
@@ -223,6 +212,11 @@ class NormalForm:
     optimum: float
     iterations: int
     residual: float
+
+    def __post_init__(self):
+        for name in ("filter_a", "filter_b"):
+            value = ingest_array(f"NormalForm.{name}", getattr(self, name), np.complex128, (2, 2))
+            object.__setattr__(self, name, value)
 
 
 def _marginals(m: np.ndarray):
@@ -269,8 +263,7 @@ def normal_form(rho: DensityMatrix) -> NormalForm:
     state and a product state, whose filters diverge).
     """
     require_state(rho)
-    fa = I2.copy()
-    fb = I2.copy()
+    fa = fb = I2  # NormalForm holds copies
     tr_in = float(np.trace(rho.mat).real)
     for it in range(NF_MAX_ITER + 1):
         cur = _conjugate(fa, fb, rho.mat)

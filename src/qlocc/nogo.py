@@ -73,9 +73,10 @@ _IMPROVE_TOL = 1e-15
 # 6,985,984 points. It holds no table of them, so at that size a search of
 # W(0.75) peaked at 50 MB resident, under a 2 GB `ulimit -v` (2-CPU Xeon VM).
 MAX_STAGE_POINTS = 4_000_000
-# the largest grid_density of scale_factor_grid: 200**3 points take about
-# 0.5 GB at its peak, again within a 2 GB `ulimit -v`
+# the largest and the default grid_density of scale_factor_grid and `qlocc
+# sweep`: 200**3 points take about 0.5 GB at its peak, within a 2 GB `ulimit -v`
 MAX_SCALE_GRID_DENSITY = 200
+SCALE_GRID_DENSITY = 64
 
 
 @dataclass(frozen=True)
@@ -366,23 +367,21 @@ def maximize_concurrence_gain(rho: DensityMatrix, cfg: SearchConfig) -> Certific
         return -gains, -(s * (grad - v * (v * grad).sum(axis=-1, keepdims=True))).reshape(-1, 6)
 
     refinement = _quasi_newton(neg_gains, u0, cfg.local_steps)
-    # the end points' probabilities, from a repeat call left out of evaluations;
-    # a point's bits do not depend on its batch, so its gains are -refinement.value
-    end, _ = _chart(refinement.x)
-    end_gains, end_t, _ = _kernels.filter_gain_gradient(root, c_in, *end)
-    # the best point: the first best row, unless an end point beats it
-    i, j = 0, int(np.argmax(end_gains))
-    if end_gains[j] > gains[i]:
-        top, t, gains, i = end, end_t, end_gains, j
+    # the best point: the first best row, unless an end point beats it; an end
+    # point's gain is -value bit for bit, so only a winner is rescored, for its t
+    j = int(np.argmin(refinement.value))
+    if -refinement.value[j] > gains[0]:
+        top, _ = _chart(refinement.x[j:j + 1])
+        gains, t, _ = _kernels.filter_gain_gradient(root, c_in, *top)
     a, n, b, m = top
     return Certificate(
         input_state=rho,
         config=cfg,
         concurrence_in=float(c_in),
-        best_gain=float(gains[i]),
-        best_filter_a=LocalFilter(strength=a[i], axis=n[i], scale=1.0 / (1.0 + a[i])),
-        best_filter_b=LocalFilter(strength=b[i], axis=m[i], scale=1.0 / (1.0 + b[i])),
-        probability=float(t[i]),
+        best_gain=float(gains[0]),
+        best_filter_a=LocalFilter(strength=a[0], axis=n[0], scale=1.0 / (1.0 + a[0])),
+        best_filter_b=LocalFilter(strength=b[0], axis=m[0], scale=1.0 / (1.0 + b[0])),
+        probability=float(t[0]),
         evaluations=size + int(refinement.evaluations.sum()),
     )
 
@@ -429,7 +428,7 @@ def _werner_floor(a, nu, b, mu):
     return (mu * nu) ** 2 * ((1.0 + a * a) * (1.0 + b * b) - (4.0 / 3.0) * a * b)
 
 
-def scale_factor_grid(F: float, grid_density: int = 100) -> ScaleFactorRow:
+def scale_factor_grid(F: float, grid_density: int = SCALE_GRID_DENSITY) -> ScaleFactorRow:
     """Grid evaluation of the Werner scale factor with worst-case bookkeeping.
 
     The grid holds grid_density**3 points; ``grid_density`` must be an
@@ -469,8 +468,9 @@ def probability_floor(F: float, fA: LocalFilter, fB: LocalFilter) -> FloorCheck:
 
     The floor mu^2 nu^2 [(1+a^2)(1+b^2) - (4/3) a b] bounds the limiting
     probability for every axis choice; with axes satisfying n.m <= 0 it
-    bounds t pointwise for all F in (1/2, 1]. Never raises: callers check
-    ``holds``.
+    bounds t pointwise for all F in (1/2, 1], so ``holds`` is the paper's
+    bound only there. F is a real number in [0, 1]: any other raises
+    :class:`~qlocc.errors.DomainError` (from :func:`make_werner`).
     """
     t = closed_form_t(to_pauli(make_werner(F)), fA, fB)
     floor = _werner_floor(fA.strength, fA.scale, fB.strength, fB.scale)

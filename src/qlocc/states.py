@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 import numpy as np
@@ -87,8 +87,36 @@ def check_probability_vector(p) -> np.ndarray:
     return p
 
 
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, marked read-only in place."""
+    a.flags.writeable = False
+    return a
+
+
+def ingest_array(name: str, value, dtype, shape: tuple) -> np.ndarray:
+    """A read-only C-ordered ``dtype`` copy of ``value``, of exactly ``shape``
+    (never reshaped); else :class:`~qlocc.errors.DomainError` naming ``name``."""
+    try:
+        a = np.array(value, dtype=dtype, order="C")
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{name} must be an array of numbers: {exc}") from exc
+    if a.shape != shape:
+        raise DomainError(f"{name} must have shape {shape}, got {a.shape}")
+    return read_only(a)
+
+
+class Record:
+    """A frozen dataclass taking each array field through :func:`ingest_array`;
+    copies and pickles are rebuilt by its constructor, so they stay read-only."""
+
+    __slots__ = ()
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, f.name) for f in fields(self))
+
+
 @dataclass(frozen=True, eq=False)
-class DensityMatrix:
+class DensityMatrix(Record):
     """A two-qubit density matrix: Hermitian, unit trace, PSD 4x4 matrix.
     Construction checks only its shape, and raises ``NotAState`` unless
     finite. The state invariants are :func:`validate`'s: the JSON reader,
@@ -96,9 +124,8 @@ class DensityMatrix:
     construction does not, as the single-state routes build a state per
     operation.
 
-    ``mat`` is a read-only copy of the given matrix, so the state cannot
-    change after construction, and ``lambdas`` and ``concurrence`` are
-    computed once per state.
+    A :class:`Record`: ``mat`` is a read-only copy of the given matrix, and
+    ``lambdas`` (read-only) and ``concurrence`` are computed once per state.
     """
 
     # the concurrence is cached in a slot, outside the instance dict, so
@@ -109,28 +136,18 @@ class DensityMatrix:
     mat: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.mat, dtype=np.complex128, order="C")
-        if m.shape != (4, 4):
-            raise DomainError("density matrix must be 4x4")
+        m = ingest_array("DensityMatrix.mat", self.mat, np.complex128, (4, 4))
         if not all_finite(m):
             raise NotAState("density matrix has a non-finite entry")
-        m.flags.writeable = False
         object.__setattr__(self, "mat", m)
         object.__setattr__(self, "_concurrence", None)
-
-    def __reduce__(self):
-        # copies and pickles are rebuilt through the constructor, which
-        # marks their matrix read-only; the spectrum is recomputed on use
-        return DensityMatrix, (self.mat,)
 
     @cached_property
     def lambdas(self) -> np.ndarray:
         """The descending lambda spectrum, read-only:
         ``_kernels.lambdas(_kernels.state_root(mat))``, computed on first
         use. Raises what :func:`~qlocc._kernels.state_root` raises."""
-        lam = _kernels.lambdas(_kernels.state_root(self.mat))
-        lam.flags.writeable = False
-        return lam
+        return read_only(_kernels.lambdas(_kernels.state_root(self.mat)))
 
     @property
     def concurrence(self) -> float:
@@ -144,14 +161,14 @@ class DensityMatrix:
 
 
 @dataclass(frozen=True, eq=False)
-class PauliRep:
+class PauliRep(Record):
     """Bloch-style decomposition: local vectors alpha, beta and the 3x3
     correlation matrix R, so that
     rho = (1/4)[1 + alpha.sigma x 1 + 1 x beta.sigma + R_ij sigma_i x sigma_j].
     Raises :class:`~qlocc.errors.DomainError` for a non-finite coefficient.
 
-    Each part is a read-only copy of the given array, so the record cannot
-    change after construction.
+    A :class:`Record`: each part is a read-only copy of the given array, of
+    shape (3,), (3,) and (3, 3).
     """
 
     alpha: np.ndarray
@@ -159,38 +176,26 @@ class PauliRep:
     R: np.ndarray
 
     def __post_init__(self):
-        for name, shape in (("alpha", 3), ("beta", 3), ("R", (3, 3))):
-            value = np.array(getattr(self, name), dtype=float).reshape(shape)
+        for name, shape in (("alpha", (3,)), ("beta", (3,)), ("R", (3, 3))):
+            value = ingest_array(f"PauliRep.{name}", getattr(self, name), float, shape)
             if not all_finite(value):
                 raise DomainError("Pauli coefficients must be finite")
-            value.flags.writeable = False
             object.__setattr__(self, name, value)
-
-    def __reduce__(self):
-        # copies and pickles are rebuilt through the constructor, which
-        # marks their parts read-only
-        return PauliRep, (self.alpha, self.beta, self.R)
 
 
 @dataclass(frozen=True, eq=False)
-class PureState:
-    """A normalized two-qubit state vector: ``amps``, a read-only copy of
-    the 4 complex amplitudes given, so the state cannot change."""
+class PureState(Record):
+    """A normalized two-qubit state vector. A :class:`Record`: ``amps`` is
+    a read-only copy of the 4 complex amplitudes given, of shape (4,)."""
 
     amps: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.amps, dtype=np.complex128).reshape(4)
+        a = ingest_array("PureState.amps", self.amps, np.complex128, (4,))
         nrm = float(np.sum(np.abs(a) ** 2))
         if not abs(nrm - 1.0) <= 1e-12:  # NaN fails too
             raise DomainError(f"state vector norm^2 = {nrm} is not 1")
-        a.flags.writeable = False
         object.__setattr__(self, "amps", a)
-
-    def __reduce__(self):
-        # copies and pickles are rebuilt through the constructor, which
-        # marks their amplitudes read-only
-        return PureState, (self.amps,)
 
 
 def density_from_pure(psi: PureState) -> DensityMatrix:

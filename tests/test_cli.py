@@ -357,6 +357,18 @@ def test_sweep_beyond_its_caps_is_usage_error(capsys):
     assert len(out.strip().split("\n")) == 1 + cli.MAX_SWEEP_FIDELITIES
 
 
+def test_sweep_default_grid_is_the_library_default(capsys, monkeypatch):
+    # `qlocc sweep` and scale_factor_grid share one default grid density
+    grids, grid = [], nogo.scale_factor_grid
+    monkeypatch.setattr(nogo, "scale_factor_grid", lambda *args: grids.append(args) or grid(*args))
+    code, out, _ = _run(capsys, ["sweep", "--f-list", "0.75"])
+    assert code == 0
+    assert grids == [(0.75, nogo.SCALE_GRID_DENSITY)]
+    row = grid(0.75)
+    assert out.strip().split("\n")[1] == (
+        f"{row.F!r},{row.max_factor!r},{row.t_worst_case!r},{row.floor!r}")
+
+
 def test_sweep_f_list_beyond_the_cap_is_usage_error(capsys, monkeypatch):
     # the list is checked against the cap before any grid runs
     grids, grid = [], nogo.scale_factor_grid

@@ -3,6 +3,7 @@ import math
 import os
 import pickle
 import sys
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -21,7 +22,16 @@ from qlocc.locc import (
     predicted_concurrence,
     trivial_operation,
 )
-from qlocc.states import DensityMatrix, density_from_pure, make_werner, to_pauli
+from qlocc.states import (
+    SINGLET_AMPS,
+    DensityMatrix,
+    PauliRep,
+    PureState,
+    Record,
+    density_from_pure,
+    make_werner,
+    to_pauli,
+)
 
 from conftest import (
     NOT_REAL_NUMBERS,
@@ -90,33 +100,103 @@ def test_filter_validation():
             LocalFilter(strength=0.5, axis=Z, scale=bad)
 
 
-def test_local_operation_holds_read_only_copies(rng):
-    u, axis = random_unitary(rng), Z.copy()
-    op = LocalOperation(unitary=u, filter=LocalFilter(strength=0.5, axis=axis, scale=0.5))
-    unitary, matrix = op.unitary.copy(), op.matrix.copy()
-    u[0, 0] = 7.0
-    axis[0] = 7.0
-    np.testing.assert_array_equal(op.unitary, unitary)
-    np.testing.assert_array_equal(op.filter.axis, Z)
-    np.testing.assert_array_equal(op.matrix, matrix)
-    for arr in (op.unitary, op.matrix, op.filter.axis):
-        with pytest.raises(ValueError):
-            arr[0] = 0.0
+# --- the record rule: read-only copies, rebuilt through the constructor ---
+
+def _record(name, rng):
+    """A record of the named class and the caller's arrays it was built from."""
+    if name == "DensityMatrix":
+        m = random_density_matrix(rng).mat.copy()
+        return DensityMatrix(m), [m]
+    if name == "PauliRep":
+        alpha, beta, corr = np.array([0.1, 0.2, 0.3]), np.array([0.0, -0.1, 0.0]), -0.2 * np.eye(3)
+        return PauliRep(alpha, beta, corr), [alpha, beta, corr]
+    if name == "PureState":
+        a = SINGLET_AMPS.copy()
+        return PureState(a), [a]
+    if name == "LocalFilter":
+        axis = Z.copy()
+        return LocalFilter(strength=0.5, axis=axis, scale=0.5), [axis]
+    if name == "LocalOperation":
+        u, axis = random_unitary(rng), Z.copy()
+        f = LocalFilter(strength=0.5, axis=axis, scale=0.5)
+        return LocalOperation(unitary=u, filter=f), [u, axis]
+    nf = normal_form(density_from_pure(PureState(np.array([0.8, 0.1, -0.3, 0.5]) / np.sqrt(0.99))))
+    fa, fb = nf.filter_a.copy(), nf.filter_b.copy()
+    return replace(nf, filter_a=fa, filter_b=fb), [fa, fb]
 
 
-def test_copies_and_pickles_stay_read_only(rng):
-    # a copy is rebuilt through its constructor: its arrays are read-only
-    # again and hold the same bits, so no cached spectrum can go stale
-    rho = random_density_matrix(rng)
-    lam = rho.lambdas.copy()
-    op = random_op(rng)
-    for copy in (copy_module.deepcopy, lambda obj: pickle.loads(pickle.dumps(obj))):
-        rho2, op2 = copy(rho), copy(op)
-        for orig, arr in ((rho.mat, rho2.mat), (lam, rho2.lambdas), (op.unitary, op2.unitary),
-                          (op.matrix, op2.matrix), (op.filter.axis, op2.filter.axis)):
-            assert not arr.flags.writeable
-            assert arr.tobytes() == orig.tobytes()
-        assert (op2.filter.strength, op2.filter.scale) == (op.filter.strength, op.filter.scale)
+def _held(record, path=""):
+    """(path, value) of each field of a record, nested records' fields
+    included, and of its cached arrays (computed here)."""
+    for f in fields(record):
+        value = getattr(record, f.name)
+        if isinstance(value, Record):
+            yield from _held(value, f"{path}{f.name}.")
+        else:
+            yield path + f.name, value
+    for cached in ("lambdas", "matrix"):
+        if hasattr(type(record), cached):
+            yield path + cached, getattr(record, cached)
+
+
+RECORDS = ["DensityMatrix", "PauliRep", "PureState", "LocalFilter", "LocalOperation", "NormalForm"]
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_hold_read_only_copies(name, rng):
+    # a write to the given arrays does not reach the record, its held and
+    # cached arrays refuse writes, and a copy or pickle is rebuilt through
+    # the constructor: read-only again, with the same bits, so no cached
+    # array can go stale
+    record, given = _record(name, rng)
+    assert isinstance(record, Record)
+    held = dict(_held(record))
+    arrays = {path: v.tobytes() for path, v in held.items() if isinstance(v, np.ndarray)}
+    assert {"DensityMatrix": 2, "PauliRep": 3, "PureState": 1, "LocalFilter": 1,
+            "LocalOperation": 3, "NormalForm": 4}[name] == len(arrays)
+    for arr in given:
+        arr[...] = 7.0
+    for copied in (record, copy_module.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(copied) is type(record)
+        for path, value in _held(copied):
+            if path in arrays:
+                assert not value.flags.writeable
+                assert value.tobytes() == arrays[path]
+                with pytest.raises(ValueError):
+                    value[(0,) * value.ndim] = 0.0
+            else:
+                assert value == held[path]
+
+
+@pytest.mark.parametrize("name, field", [
+    ("DensityMatrix", "mat"), ("PauliRep", "alpha"), ("PauliRep", "beta"), ("PauliRep", "R"),
+    ("PureState", "amps"), ("LocalFilter", "axis"), ("LocalOperation", "unitary"),
+    ("NormalForm", "filter_a"), ("NormalForm", "filter_b"),
+])
+def test_records_reject_wrong_shapes_and_non_numbers(name, field, rng):
+    # every array field takes exactly its shape (nothing is reshaped) and
+    # numbers only; either fault is a DomainError that names the field
+    record, _ = _record(name, rng)
+    value = getattr(record, field)
+    wrong_shapes = [value.reshape(1, -1), value.reshape(-1, 1), value[:-1], value[None]]
+    if value.ndim == 2:
+        wrong_shapes.append(value.ravel())
+    non_numbers = ["abc", None, object(), {"x": 1}, [[0.0], [0.0, 0.0]],
+                   np.full(value.shape, "x", dtype=object)]
+    for bad in wrong_shapes + non_numbers:
+        with pytest.raises(DomainError, match=rf"{name}\.{field} must"):
+            replace(record, **{field: bad})
+
+
+def test_exact_shapes_replace_the_old_reshapes():
+    # input that was once reshaped into place is now refused
+    with pytest.raises(DomainError, match="PureState.amps"):
+        PureState(SINGLET_AMPS.reshape(2, 2))
+    for axis in (Z.reshape(1, 3), Z.reshape(3, 1)):
+        with pytest.raises(DomainError, match="LocalFilter.axis"):
+            LocalFilter(strength=0.5, axis=axis, scale=0.5)
+    with pytest.raises(DomainError, match="PauliRep.R"):
+        PauliRep(alpha=np.zeros(3), beta=np.zeros(3), R=np.zeros(9))
 
 
 def test_filter_eigenvalues_within_unit_interval(rng):
@@ -202,6 +282,8 @@ NON_FINITE = {
     "operator": lambda: decompose_local_op(np.full((2, 2), NAN)),
     "probability": lambda: predicted_concurrence(0.5, trivial_operation().filter,
                                                  trivial_operation().filter, NAN),
+    "probability-inf": lambda: predicted_concurrence(0.5, trivial_operation().filter,
+                                                     trivial_operation().filter, math.inf),
 }
 
 

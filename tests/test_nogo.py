@@ -610,6 +610,13 @@ def test_floor_trivial_filters():
         assert chk.holds
 
 
+def test_floor_rejects_a_fidelity_outside_the_unit_interval():
+    f = LocalFilter(strength=0.5, axis=Z, scale=0.5)
+    for bad in (1.5, math.nan):
+        with pytest.raises(DomainError, match="Werner fidelity"):
+            probability_floor(bad, f, f)
+
+
 def test_floor_extremal_value():
     fa = LocalFilter(strength=1.0, axis=Z, scale=0.5)
     fb = LocalFilter(strength=1.0, axis=-Z, scale=0.5)

@@ -1,6 +1,4 @@
-import copy
 import json
-import pickle
 
 import numpy as np
 import pytest
@@ -209,24 +207,6 @@ def test_pauli_rep_rejects_a_non_finite_coefficient(part, bad):
         PauliRep(**coeffs)
 
 
-def test_pauli_rep_holds_read_only_copies():
-    # a write to the given arrays does not reach the record, the record's
-    # parts refuse writes, and copies and pickles are rebuilt read-only
-    alpha, beta, corr = np.array([0.1, 0.2, 0.3]), np.array([0.0, -0.1, 0.0]), -0.2 * np.eye(3)
-    rep = PauliRep(alpha, beta, corr)
-    alpha[0], beta[1], corr[0, 0] = 0.5, 0.5, 0.5
-    assert (rep.alpha[0], rep.beta[1], rep.R[0, 0]) == (0.1, -0.1, -0.2)
-    for part in (rep.alpha, rep.beta, rep.R):
-        assert not part.flags.writeable
-        with pytest.raises(ValueError):
-            part[0] = 0.0
-    for copied in (copy.deepcopy(rep), pickle.loads(pickle.dumps(rep))):
-        for name in ("alpha", "beta", "R"):
-            part = getattr(copied, name)
-            assert not part.flags.writeable
-            assert part.tobytes() == getattr(rep, name).tobytes()
-
-
 def test_one_infinite_entry_is_not_a_state():
     m = make_werner(0.8).mat.copy()
     m[2, 1] = np.inf
@@ -239,21 +219,6 @@ def test_pure_state_normalization():
         PureState(np.array([1.0, 1.0, 0.0, 0.0]))
     psi = PureState(np.array([1.0, 1.0, 0.0, 0.0]) / np.sqrt(2))
     assert abs(np.linalg.norm(psi.amps) - 1.0) < 1e-12
-
-
-def test_pure_state_holds_a_read_only_copy():
-    # a write to the given vector does not reach the state, its amplitudes
-    # refuse writes, and copies and pickles are rebuilt read-only
-    a = np.array([0, 1, -1, 0], complex) / np.sqrt(2)
-    psi = PureState(a)
-    a[0] = 5.0
-    assert psi.amps[0] == 0.0
-    assert not psi.amps.flags.writeable
-    with pytest.raises(ValueError):
-        psi.amps[0] = 5.0
-    for copied in (copy.deepcopy(psi), pickle.loads(pickle.dumps(psi))):
-        assert not copied.amps.flags.writeable
-        assert copied.amps.tobytes() == psi.amps.tobytes()
 
 
 def test_density_matrix_json_round_trip(rng):
